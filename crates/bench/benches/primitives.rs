@@ -7,13 +7,14 @@
 //!
 //! Plain `main()` harness (no external bench framework is available
 //! offline): each target runs a fixed iteration count after a short
-//! warmup and reports mean wall time per iteration.
+//! warmup and reports mean wall time per iteration. The monitor cycles
+//! also report the cost of one enter+exit pair.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use pcr::{micros, millis, Priority, RunLimit, Sim, SimConfig};
 
-fn bench<F: FnMut()>(name: &str, iters: u32, mut f: F) {
+fn bench<F: FnMut()>(name: &str, iters: u32, mut f: F) -> Duration {
     for _ in 0..2 {
         f(); // Warmup.
     }
@@ -23,6 +24,17 @@ fn bench<F: FnMut()>(name: &str, iters: u32, mut f: F) {
     }
     let per = start.elapsed() / iters;
     println!("{name:40} {per:>12.2?}/iter  ({iters} iters)");
+    per
+}
+
+/// Monitor enter+exit pairs per iteration of the monitor cycles.
+const PAIRS: u32 = 1000;
+
+/// Reports a monitor cycle's time per enter+exit pair (for the sim, the
+/// iteration's setup and teardown are spread over its pairs).
+fn per_pair(per_iter: Duration) {
+    let per = per_iter / PAIRS;
+    println!("{:40} {per:>12.2?}/pair", "  one enter+exit pair");
 }
 
 fn sim_fork_join() {
@@ -40,7 +52,7 @@ fn sim_monitor_cycle() {
     let mut sim = Sim::new(SimConfig::default());
     let m = sim.monitor("m", 0u64);
     let _ = sim.fork_root("main", Priority::DEFAULT, move |ctx| {
-        for _ in 0..1000 {
+        for _ in 0..PAIRS {
             let mut g = ctx.enter(&m);
             g.with_mut(|v| *v += 1);
         }
@@ -84,14 +96,15 @@ fn sim_timeslicing() {
 
 fn main() {
     bench("sim_fork_join_100", 20, sim_fork_join);
-    bench("sim_monitor_enter_exit_1000", 20, sim_monitor_cycle);
+    per_pair(bench("sim_monitor_enter_exit_1000", 20, sim_monitor_cycle));
     bench("sim_notify_wait_pingpong_500", 20, sim_notify_wait);
     bench("sim_timeslicing_1s_virtual", 10, sim_timeslicing);
     let m = mesa::Monitor::new("m", 0u64);
-    bench("mesa_monitor_enter_exit_1000", 50, || {
-        for _ in 0..1000 {
+    let mesa_cycle = bench("mesa_monitor_enter_exit_1000", 50, || {
+        for _ in 0..PAIRS {
             let mut g = m.enter();
             *g.data() += 1;
         }
     });
+    per_pair(mesa_cycle);
 }

@@ -270,6 +270,7 @@ fn alloc_json(a: &pcr::AllocCounters) -> Json {
         ("queue_node_reuses", Json::from(a.queue_node_reuses)),
         ("os_thread_spawns", Json::from(a.os_thread_spawns)),
         ("os_thread_reuses", Json::from(a.os_thread_reuses)),
+        ("baton_passes", Json::from(a.baton_passes)),
     ])
 }
 

@@ -15,7 +15,8 @@ use crate::condition::Condition;
 use crate::error::{ForkError, JoinError};
 use crate::event::WaitOutcome;
 use crate::monitor::{Monitor, MonitorGuard, MonitorId};
-use crate::rendezvous::{BodyFn, ForkSpec, Reply, Request, ShutdownSignal, ThreadChannels};
+use crate::mp::ThreadChannels;
+use crate::rendezvous::{BatonLink, BodyFn, ForkSpec, Reply, Request, ShutdownSignal};
 use crate::rng::SplitMix64;
 use crate::thread::{JoinHandle, Priority, ResultSlot, ThreadId};
 use crate::time::{SimDuration, SimTime};
@@ -52,14 +53,31 @@ impl ForkOpts {
 pub struct ThreadCtx {
     pub(crate) tid: ThreadId,
     pub(crate) name: String,
-    pub(crate) channels: ThreadChannels,
+    pub(crate) link: Link,
     pub(crate) clock: Arc<AtomicU64>,
     pub(crate) shutting_down: Cell<bool>,
     pub(crate) priority: Cell<Priority>,
     pub(crate) seed: u64,
 }
 
+/// How a thread reaches its scheduler.
+pub(crate) enum Link {
+    /// [`crate::Sim`]: the thread runs scheduler steps itself while it
+    /// holds the baton.
+    Baton(BatonLink),
+    /// [`crate::MpSim`]: request/reply channels to its driver loop.
+    Channels(ThreadChannels),
+}
+
 impl ThreadCtx {
+    /// One request/reply exchange; `None` when the sim is tearing down.
+    fn exchange(&self, req: Request) -> Option<Reply> {
+        match &self.link {
+            Link::Baton(b) => b.call(self.tid, req),
+            Link::Channels(c) => c.call(self.tid, req),
+        }
+    }
+
     /// This thread's identity.
     pub fn tid(&self) -> ThreadId {
         self.tid
@@ -88,19 +106,16 @@ impl ThreadCtx {
         )
     }
 
-    // ---- core rendezvous ------------------------------------------------
+    // ---- runtime calls ---------------------------------------------------
 
     fn call(&self, req: Request) -> Reply {
         if self.shutting_down.get() {
             std::panic::panic_any(ShutdownSignal);
         }
-        if self.channels.req_tx.send((self.tid, req)).is_err() {
-            self.enter_shutdown();
-        }
-        match self.channels.reply_rx.recv() {
-            Ok(Reply::Shutdown) | Err(_) => self.enter_shutdown(),
-            Ok(Reply::Fault(msg)) => panic!("{msg}"),
-            Ok(r) => r,
+        match self.exchange(req) {
+            None | Some(Reply::Shutdown) => self.enter_shutdown(),
+            Some(Reply::Fault(msg)) => panic!("{msg}"),
+            Some(r) => r,
         }
     }
 
@@ -284,25 +299,13 @@ impl ThreadCtx {
         if self.shutting_down.get() {
             return;
         }
-        if self
-            .channels
-            .req_tx
-            .send((self.tid, Request::MonitorExit(mid)))
-            .is_err()
-        {
+        if let None | Some(Reply::Shutdown) = self.exchange(Request::MonitorExit(mid)) {
             self.shutting_down.set(true);
-            return;
-        }
-        match self.channels.reply_rx.recv() {
-            Ok(Reply::Shutdown) | Err(_) => {
-                self.shutting_down.set(true);
-                // Unwind unless we are already unwinding (a panic inside a
-                // panic would abort the process).
-                if !std::thread::panicking() {
-                    std::panic::panic_any(ShutdownSignal);
-                }
+            // Unwind unless we are already unwinding (a panic inside a
+            // panic would abort the process).
+            if !std::thread::panicking() {
+                std::panic::panic_any(ShutdownSignal);
             }
-            _ => {}
         }
     }
 
@@ -389,10 +392,10 @@ impl ThreadCtx {
         if self.shutting_down.get() {
             return;
         }
-        let _ = self
-            .channels
-            .req_tx
-            .send((self.tid, Request::Exit { panicked }));
+        match &self.link {
+            Link::Baton(b) => b.exit(self.tid, panicked),
+            Link::Channels(c) => c.exit(self.tid, panicked),
+        }
     }
 }
 

@@ -28,12 +28,14 @@
 //!
 //! ## How the simulation works
 //!
-//! Each simulated thread runs on a real OS thread, but the scheduler
-//! unparks exactly one at a time; user code between two runtime calls
-//! executes in zero virtual time, and virtual CPU is consumed explicitly
-//! with [`ThreadCtx::work`]. All scheduling state lives in [`Sim`], so a
-//! given configuration and seed replays identically — which is what makes
-//! the paper's tables reproducible as deterministic experiments.
+//! Each simulated thread runs on a real OS thread, but exactly one runs
+//! at a time: the one holding the baton, the scheduler state [`Sim`]
+//! owns between runs. That thread runs the scheduler step for its own
+//! runtime calls and passes the baton on only when another thread is to
+//! run. User code between two runtime calls executes in zero virtual
+//! time, and virtual CPU is consumed explicitly with [`ThreadCtx::work`].
+//! A given configuration and seed replays identically — which is what
+//! makes the paper's tables reproducible as deterministic experiments.
 //!
 //! ## Example
 //!

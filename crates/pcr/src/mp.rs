@@ -10,10 +10,16 @@
 //!
 //! [`MpSim`] schedules onto `cpus` virtual processors with global strict
 //! priority (no runnable thread is outranked by a waiting one across all
-//! CPUs), per-CPU timeslices, and the same monitors/CVs — and it speaks
-//! the same rendezvous protocol, so thread bodies, [`crate::ThreadCtx`],
+//! CPUs), per-CPU timeslices, and the same monitors/CVs — and it
+//! answers the same requests, so thread bodies, [`crate::ThreadCtx`],
 //! and everything built on them (the entire `paradigms` crate) run
 //! unchanged.
+//!
+//! Unlike [`crate::Sim`], whose threads run the scheduler step on their
+//! own stacks while they hold the baton, `MpSim` still drives its threads
+//! from a loop on the caller's thread over per-thread `mpsc` channels
+//! (`ThreadChannels`). That channel transport goes away when `MpSim` is
+//! folded into `Sim`.
 //!
 //! Scope restrictions relative to the uniprocessor model, documented
 //! rather than silently diverging:
@@ -37,16 +43,36 @@ use std::sync::{Arc, Mutex};
 
 use crate::condition::Condition;
 use crate::config::{NotifyMode, SimConfig};
-use crate::ctx::{wrap_body, ThreadCtx};
+use crate::ctx::{wrap_body, Link, ThreadCtx};
 use crate::error::{RunReport, StopReason};
 use crate::event::{CondId, Event, EventKind, TraceSink, WaitOutcome, YieldKind};
 use crate::monitor::{Monitor, MonitorId};
-use crate::rendezvous::{reply_channel, ForkSpec, Reply, Request, ThreadChannels};
+use crate::rendezvous::{ForkSpec, Reply, Request};
 use crate::sched::SimStats;
 use crate::thread::{JoinHandle, Priority, ResultSlot, ThreadId};
 use crate::time::{SimDuration, SimTime};
 use crate::timer::{TimerKind, TimerWheel};
 use crate::RunLimit;
+
+/// The channel endpoints an `MpSim` thread holds.
+pub(crate) struct ThreadChannels {
+    req_tx: mpsc::Sender<(ThreadId, Request)>,
+    reply_rx: mpsc::Receiver<Reply>,
+}
+
+impl ThreadChannels {
+    /// Sends `req` and parks for the reply; `None` once the driver has
+    /// gone away.
+    pub(crate) fn call(&self, tid: ThreadId, req: Request) -> Option<Reply> {
+        self.req_tx.send((tid, req)).ok()?;
+        self.reply_rx.recv().ok()
+    }
+
+    /// Reports the thread's exit; no reply follows.
+    pub(crate) fn exit(&self, tid: ThreadId, panicked: bool) {
+        let _ = self.req_tx.send((tid, Request::Exit { panicked }));
+    }
+}
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum TState {
@@ -241,14 +267,14 @@ impl MpSim {
                 .map(|p| self.threads[p.0 as usize].priority)
                 .unwrap_or(Priority::DEFAULT)
         });
-        let (reply_tx, reply_rx) = reply_channel();
+        let (reply_tx, reply_rx) = mpsc::channel();
         let ctx = ThreadCtx {
             tid,
             name: spec.name.clone(),
-            channels: ThreadChannels {
+            link: Link::Channels(ThreadChannels {
                 req_tx: self.req_tx.clone(),
                 reply_rx,
-            },
+            }),
             clock: Arc::clone(&self.clock_mirror),
             shutting_down: std::cell::Cell::new(false),
             priority: std::cell::Cell::new(priority),
@@ -259,7 +285,10 @@ impl MpSim {
             .name(format!("mp-{}", spec.name))
             .stack_size(128 * 1024)
             .spawn(move || {
-                if let Ok(Reply::Ok) = ctx.channels.reply_rx.recv() {
+                let Link::Channels(ch) = &ctx.link else {
+                    unreachable!("MpSim threads speak channels")
+                };
+                if let Ok(Reply::Ok) = ch.reply_rx.recv() {
                     body(&ctx)
                 }
             })

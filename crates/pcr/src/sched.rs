@@ -1,27 +1,32 @@
 //! The scheduler: strict priorities, round-robin timeslicing, preemption,
 //! yields and slice donation, monitors, and condition variables.
 //!
-//! [`Sim`] owns every piece of scheduling state and advances the virtual
-//! clock. Simulated threads interact with it through the rendezvous
-//! protocol in [`crate::rendezvous`]; exactly one simulated thread is ever
-//! unparked, so the whole simulation is single-threaded in effect and
+//! Every piece of scheduling state lives in one boxed [`Core`], the
+//! baton of [`crate::rendezvous`]: [`Sim`] owns it between runs, and
+//! during a run it travels with whichever OS thread is allowed to run.
+//! That thread runs the scheduler step itself ([`Core::request`],
+//! [`Core::step`]) and passes the core on only when the step resumes
+//! another thread ([`Core::pass`]). Exactly one OS thread ever holds the
+//! core, so the whole simulation is single-threaded in effect and
 //! deterministic for a given configuration and seed.
 
 use std::collections::{HashSet, VecDeque};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 
 use crate::arena::{NodeArena, QList};
 use crate::chaos::{FaultDecision, FaultSchedule, FaultSiteKind};
 use crate::condition::Condition;
 use crate::config::{ForkPolicy, NotifyMode, SimConfig};
-use crate::ctx::{wrap_body, ThreadCtx};
+use crate::ctx::{wrap_body, Link, ThreadCtx};
 use crate::error::{BlockedThread, DeadlockReport, RunReport, StopReason};
 use crate::event::{CondId, Event, EventKind, EventMask, TraceSink, WaitOutcome, YieldKind};
 use crate::hazard::HazardMonitor;
 use crate::monitor::{Monitor, MonitorId};
-use crate::rendezvous::{reply_channel, BodyFn, ForkSpec, Reply, Request, ThreadChannels};
+use crate::rendezvous::{
+    BatonLink, BodyFn, CarrierMsg, CarrierPool, ForkSpec, Handback, Mailbox, Reply, Request,
+};
 use crate::rng::SplitMix64;
 use crate::thread::{JoinHandle, Priority, ResultSlot, ThreadId, ThreadInfo, ThreadView};
 use crate::time::{micros, millis, SimDuration, SimTime};
@@ -271,7 +276,9 @@ struct Tcb {
     pending_reply: Option<Reply>,
     debt: SimDuration,
     after_debt: AfterDebt,
-    reply_tx: mpsc::Sender<Reply>,
+    /// The body and its context, until the first dispatch sends them to
+    /// the carrier (boxed: most threads have long started).
+    start: Option<Box<(ThreadCtx, BodyFn)>>,
     /// Index of the pooled OS carrier thread running this simulated
     /// thread's body, released back to the pool on exit.
     worker: Option<u32>,
@@ -386,6 +393,10 @@ pub struct AllocCounters {
     pub os_thread_spawns: u64,
     /// Simulated forks served by an idle pooled carrier.
     pub os_thread_reuses: u64,
+    /// OS-level handoffs: the scheduler core moving from one OS thread
+    /// to another (into a carrier, or home to the thread in
+    /// [`Sim::run`]). At most one per simulated switch plus two per run.
+    pub baton_passes: u64,
 }
 
 impl AllocCounters {
@@ -398,109 +409,7 @@ impl AllocCounters {
             queue_node_reuses: self.queue_node_reuses - earlier.queue_node_reuses,
             os_thread_spawns: self.os_thread_spawns - earlier.os_thread_spawns,
             os_thread_reuses: self.os_thread_reuses - earlier.os_thread_reuses,
-        }
-    }
-}
-
-/// One simulated thread's body plus its rendezvous endpoints, handed to
-/// a pooled carrier thread. The carrier waits for the first dispatch
-/// (`Reply::Ok`) before running the body, exactly as a dedicated spawn
-/// did; anything else means the sim is tearing down before the thread
-/// ever ran.
-struct Assignment {
-    body: BodyFn,
-    ctx: ThreadCtx,
-}
-
-struct PoolWorker {
-    /// `None` once shutdown has disconnected the carrier's queue.
-    assign_tx: Option<mpsc::Sender<Assignment>>,
-    join: Option<std::thread::JoinHandle<()>>,
-}
-
-/// The carrier-thread pool. A carrier loops over assignments; the body
-/// wrapper ([`crate::ctx::wrap_body`]) catches every unwind — including
-/// the shutdown signal — so a finished or torn-down body always returns
-/// control to the loop. Exited threads release their carrier index
-/// without joining: a successor assignment just queues on the carrier's
-/// channel until it loops back.
-struct WorkerPool {
-    workers: Vec<PoolWorker>,
-    /// LIFO free list of carrier indices, so the hottest carrier (most
-    /// recently exited, stack still warm) is reused first.
-    free: Vec<u32>,
-    spawns: u64,
-    reuses: u64,
-}
-
-impl WorkerPool {
-    fn new() -> WorkerPool {
-        WorkerPool {
-            workers: Vec::new(),
-            free: Vec::new(),
-            spawns: 0,
-            reuses: 0,
-        }
-    }
-
-    /// Hands `assignment` to an idle carrier, spawning one only when the
-    /// pool has no free carrier. Returns the carrier index.
-    fn assign(&mut self, assignment: Assignment) -> u32 {
-        if let Some(idx) = self.free.pop() {
-            self.reuses += 1;
-            self.workers[idx as usize]
-                .assign_tx
-                .as_ref()
-                .expect("assign after pool shutdown")
-                .send(assignment)
-                .expect("pooled carrier thread died");
-            return idx;
-        }
-        let idx = self.workers.len() as u32;
-        let (assign_tx, assign_rx) = mpsc::channel::<Assignment>();
-        let join = std::thread::Builder::new()
-            .name(format!("sim-worker-{idx}"))
-            .stack_size(128 * 1024)
-            .spawn(move || {
-                while let Ok(a) = assign_rx.recv() {
-                    if let Ok(Reply::Ok) = a.ctx.channels.reply_rx.recv() {
-                        (a.body)(&a.ctx);
-                    }
-                }
-            })
-            .expect("failed to spawn carrier thread for simulated thread");
-        self.spawns += 1;
-        self.workers.push(PoolWorker {
-            assign_tx: Some(assign_tx),
-            join: Some(join),
-        });
-        self.workers[idx as usize]
-            .assign_tx
-            .as_ref()
-            .expect("just installed")
-            .send(assignment)
-            .expect("pooled carrier thread died");
-        idx
-    }
-
-    /// Returns a carrier to the free list. The carrier may still be
-    /// unwinding out of its previous body; that's fine, its next
-    /// assignment waits on the channel.
-    fn release(&mut self, idx: u32) {
-        self.free.push(idx);
-    }
-
-    /// Disconnects every carrier's queue and joins them. Callers must
-    /// already have unblocked any carrier still inside a body (the sim
-    /// sends `Reply::Shutdown` to all live threads first).
-    fn shutdown(&mut self) {
-        for w in &mut self.workers {
-            w.assign_tx = None;
-        }
-        for w in &mut self.workers {
-            if let Some(h) = w.join.take() {
-                let _ = h.join();
-            }
+            baton_passes: self.baton_passes - earlier.baton_passes,
         }
     }
 }
@@ -511,6 +420,31 @@ impl WorkerPool {
 /// then call [`Sim::run`]. Dropping the `Sim` tears every simulated
 /// thread down cleanly.
 pub struct Sim {
+    /// The scheduler core. `None` only while [`Sim::run`] has lent it
+    /// to the simulated threads.
+    core: Option<Box<Core>>,
+}
+
+/// What the thread holding the baton does after a scheduler step.
+pub(crate) enum Step {
+    /// Resume this thread with this reply.
+    Reply(ThreadId, Reply),
+    /// The run is over.
+    Stop(StopReason),
+}
+
+/// Where the baton is after [`Core::pass`].
+pub(crate) enum Baton {
+    /// The step resumed the caller itself: keep running.
+    Kept(Box<Core>, Reply),
+    /// The run ended, or a step panicked, on the thread in [`Sim::run`].
+    Home(Box<Core>, std::thread::Result<StopReason>),
+    /// Sent to another OS thread; the caller parks or leaves.
+    Passed,
+}
+
+/// Every piece of scheduling state: the baton.
+pub(crate) struct Core {
     cfg: SimConfig,
     clock: SimTime,
     clock_mirror: Arc<AtomicU64>,
@@ -534,14 +468,20 @@ pub struct Sim {
     /// Pool of reusable OS carrier threads: a simulated fork grabs a
     /// free carrier instead of spawning, so steady-state fork/exit does
     /// no OS thread creation or join.
-    pool: WorkerPool,
+    pool: CarrierPool,
+    /// Where the baton goes when a run stops: the thread in [`Sim::run`].
+    home: Arc<Mailbox<Handback>>,
+    /// OS-level handoffs so far ([`AllocCounters::baton_passes`]).
+    baton_passes: u64,
+    /// The current run's end.
+    end: SimTime,
+    /// What is left of the running thread's quantum.
+    quantum_left: SimDuration,
     monitors: Vec<MonitorState>,
     conds: Vec<CvState>,
-    req_tx: mpsc::Sender<(ThreadId, Request)>,
-    req_rx: mpsc::Receiver<(ThreadId, Request)>,
     sink: Option<Box<dyn TraceSink>>,
     /// Cached [`TraceSink::subscriptions`] of `sink` (EMPTY when none):
-    /// [`Sim::emit`] consults the masks before constructing an event, so
+    /// [`Core::emit`] consults the masks before constructing an event, so
     /// an un-instrumented run pays only for its counters.
     sink_mask: EventMask,
     /// Cached subscription mask of `hazards` (EMPTY when none).
@@ -576,12 +516,304 @@ impl Sim {
     /// forked immediately at priority 6 (the level the paper reports both
     /// systems using for it).
     pub fn new(cfg: SimConfig) -> Sim {
+        Sim {
+            core: Some(Core::new(cfg)),
+        }
+    }
+
+    /// Creates a runtime with default (paper) configuration.
+    pub fn with_defaults() -> Sim {
+        Sim::new(SimConfig::default())
+    }
+
+    /// The active configuration.
+    pub fn config(&self) -> &SimConfig {
+        &self.core().cfg
+    }
+
+    /// Current virtual time.
+    pub fn now(&self) -> SimTime {
+        self.core().clock
+    }
+
+    /// Runtime counters accumulated so far.
+    pub fn stats(&self) -> &SimStats {
+        &self.core().stats
+    }
+
+    /// Allocation/reuse counters for the sim's pooled resources (timer
+    /// slab, queue-node arena, carrier-thread pool). Snapshot before and
+    /// after a window and subtract with [`AllocCounters::since`] to
+    /// verify the hot path runs allocation-free at steady state.
+    pub fn alloc_counters(&self) -> AllocCounters {
+        let core = self.core();
+        let (timer_node_allocs, timer_node_reuses) = core.timers.alloc_stats();
+        let (queue_node_allocs, queue_node_reuses) = core.queue_arena.alloc_stats();
+        AllocCounters {
+            timer_node_allocs,
+            timer_node_reuses,
+            queue_node_allocs,
+            queue_node_reuses,
+            os_thread_spawns: core.pool.spawns,
+            os_thread_reuses: core.pool.reuses,
+            baton_passes: core.baton_passes,
+        }
+    }
+
+    /// Installs a trace sink; events flow to it from now on. The sink's
+    /// [`TraceSink::subscriptions`] mask is read once here: only events
+    /// of subscribed kinds are constructed and dispatched to it.
+    pub fn set_sink(&mut self, sink: Box<dyn TraceSink>) {
+        let core = self.core_mut();
+        core.sink_mask = sink.subscriptions();
+        core.sink = Some(sink);
+    }
+
+    /// Removes and returns the trace sink.
+    pub fn take_sink(&mut self) -> Option<Box<dyn TraceSink>> {
+        let core = self.core_mut();
+        core.sink_mask = EventMask::EMPTY;
+        core.sink.take()
+    }
+
+    /// The online hazard monitor, when
+    /// [`SimConfig::with_hazard_detection`](crate::SimConfig::with_hazard_detection)
+    /// enabled one.
+    pub fn hazards(&self) -> Option<&HazardMonitor> {
+        self.core().hazards.as_ref()
+    }
+
+    /// Removes and returns the hazard monitor (detection stops).
+    pub fn take_hazards(&mut self) -> Option<HazardMonitor> {
+        let core = self.core_mut();
+        core.hazard_mask = EventMask::EMPTY;
+        core.hazards.take()
+    }
+
+    /// Post-run summary of every thread ever created. Allocates one
+    /// `Vec` plus a name per thread; prefer [`Sim::threads_iter`] when a
+    /// borrowed view is enough.
+    pub fn threads(&self) -> Vec<ThreadInfo> {
+        self.threads_iter().map(|v| v.to_info()).collect()
+    }
+
+    /// Iterates borrowed summaries of every thread ever created, in
+    /// creation order, without allocating.
+    pub fn threads_iter(&self) -> impl Iterator<Item = ThreadView<'_>> + '_ {
+        self.core()
+            .threads
+            .iter()
+            .enumerate()
+            .map(|(i, t)| ThreadView {
+                tid: ThreadId(i as u32),
+                name: &t.name,
+                priority: t.priority,
+                cpu: t.cpu,
+                exited: t.exited,
+                panicked: t.panicked,
+                parent: t.parent,
+                generation: t.generation,
+            })
+    }
+
+    /// Number of threads ever created (exited ones included).
+    pub fn thread_count(&self) -> usize {
+        self.core().threads.len()
+    }
+
+    /// Number of threads currently alive.
+    pub fn live_threads(&self) -> usize {
+        self.core().live_threads
+    }
+
+    /// The name of every monitor, indexed by [`MonitorId::as_u32`].
+    /// Exporters use this to label lock tracks and contention rows.
+    pub fn monitor_names(&self) -> Vec<String> {
+        self.core()
+            .monitors
+            .iter()
+            .map(|m| m.name.clone())
+            .collect()
+    }
+
+    /// For every condition variable, indexed by [`CondId::as_u32`]: its
+    /// name and the monitor it belongs to.
+    pub fn condition_info(&self) -> Vec<(String, MonitorId)> {
+        self.core()
+            .conds
+            .iter()
+            .map(|c| (c.name.clone(), c.monitor))
+            .collect()
+    }
+
+    /// The complete fault schedule injected so far: every positive chaos
+    /// decision in chronological order, plus the stall specs in force.
+    /// Feeding it to a fresh `Sim` with the same [`SimConfig`] via
+    /// [`ChaosConfig::scripted`](crate::ChaosConfig::scripted) replays
+    /// exactly these faults, with no RNG involved.
+    pub fn fault_schedule(&self) -> FaultSchedule {
+        let core = self.core();
+        FaultSchedule {
+            decisions: core.chaos_trace.clone(),
+            stalls: core.cfg.chaos.stalls.clone(),
+        }
+    }
+
+    /// Every currently blocked thread, as wait-for-graph nodes. CV
+    /// waiters are included (for rendering); chaos-stalled and sleeping
+    /// threads are not — they have timers pending.
+    pub fn blocked_threads(&self) -> Vec<crate::WaitingThread> {
+        self.core().blocked_threads()
+    }
+
+    /// Snapshots the wait-for graph of the current instant: blocked
+    /// threads, their edges, and any chaos-stalled roots. See
+    /// [`crate::WaitForGraph`] for wedge and cycle queries.
+    pub fn wait_for_graph(&self) -> crate::WaitForGraph {
+        self.core().wait_for_graph()
+    }
+
+    /// Fails every FORK currently blocked waiting for a thread slot
+    /// (§5.4 recovery: drain the queue instead of letting callers hang).
+    /// Each blocked forker resumes with
+    /// [`ForkError::ResourcesExhausted`](crate::ForkError::ResourcesExhausted).
+    /// Returns how many forks were failed.
+    pub fn fail_pending_forks(&mut self) -> usize {
+        self.core_mut().fail_pending_forks()
+    }
+
+    /// Clears any chaos stall on `tid` — in force or pending — and puts
+    /// a stalled thread back in the ready queue (§5.2 recovery: restart
+    /// the unresponsive component). The orphaned `ChaosStallEnd` timer
+    /// no-ops when it fires. Returns true if anything changed.
+    pub fn rejuvenate(&mut self, tid: ThreadId) -> bool {
+        self.core_mut().rejuvenate(tid)
+    }
+
+    /// Re-levels a live thread from outside (§6.2 recovery: boost a
+    /// preempted lock holder so its high-priority waiter can make
+    /// progress). A ready thread is re-queued at its new level; a
+    /// blocked, stalled, or running thread just carries the new priority
+    /// from its next scheduling point. Returns false if the thread has
+    /// exited.
+    pub fn set_thread_priority(&mut self, tid: ThreadId, priority: Priority) -> bool {
+        self.core_mut().set_thread_priority(tid, priority)
+    }
+
+    /// Toggles metalock cycle donation at runtime (§6.2 recovery: the
+    /// remedy PCR shipped). Enabling it immediately donates the
+    /// remaining window of every preempted metalock holder that has
+    /// waiters stalled behind it — a stalled holder is rejuvenated
+    /// first. Returns how many stuck metalocks were cleared.
+    pub fn set_metalock_donation(&mut self, enabled: bool) -> usize {
+        self.core_mut().set_metalock_donation(enabled)
+    }
+
+    /// Creates a monitor before the run starts.
+    pub fn monitor<T: Send + 'static>(&mut self, name: &str, data: T) -> Monitor<T> {
+        let monitors = &mut self.core_mut().monitors;
+        let id = MonitorId(monitors.len() as u32);
+        monitors.push(MonitorState::new(name.to_string()));
+        Monitor::new(id, name, data)
+    }
+
+    /// Creates a condition variable on `m` before the run starts.
+    pub fn condition<T: Send + 'static>(
+        &mut self,
+        m: &Monitor<T>,
+        name: &str,
+        timeout: Option<SimDuration>,
+    ) -> Condition {
+        let conds = &mut self.core_mut().conds;
+        let id = CondId(conds.len() as u32);
+        conds.push(CvState {
+            name: name.to_string(),
+            monitor: m.id(),
+            timeout,
+            queue: QList::new(),
+            live: 0,
+        });
+        Condition {
+            id,
+            monitor: m.id(),
+            name: name.to_string(),
+            timeout,
+        }
+    }
+
+    /// Forks a root thread (generation 0) at the given priority
+    /// (`None` = default priority 4).
+    pub fn fork_root<T, F>(&mut self, name: &str, priority: Priority, f: F) -> JoinHandle<T>
+    where
+        T: Send + 'static,
+        F: FnOnce(&ThreadCtx) -> T + Send + 'static,
+    {
+        self.core_mut()
+            .fork_root_with(name, Some(priority), false, f)
+    }
+
+    /// Forks a detached root thread.
+    pub fn fork_root_detached<F>(&mut self, name: &str, priority: Priority, f: F) -> ThreadId
+    where
+        F: FnOnce(&ThreadCtx) + Send + 'static,
+    {
+        self.core_mut()
+            .fork_root_with(name, Some(priority), true, f)
+            .tid()
+    }
+
+    /// Advances the simulation until the limit is reached, every thread
+    /// has exited, or the remaining threads are deadlocked.
+    ///
+    /// The calling thread runs scheduler steps only until the first
+    /// reply; from then on the simulated threads run them, and the
+    /// caller parks until the run stops. A panic inside a scheduler step
+    /// (a trace sink's, say) resurfaces here on the caller.
+    pub fn run(&mut self, limit: RunLimit) -> RunReport {
+        let mut core = self.core.take().expect("the core is home between runs");
+        let start = core.clock;
+        core.begin_run(limit);
+        let home = Arc::clone(&core.home);
+        let step = catch_unwind(AssertUnwindSafe(|| core.step()));
+        let (mut core, outcome) = match core.pass(step, None) {
+            Baton::Home(core, outcome) => (core, outcome),
+            Baton::Passed => {
+                let back = home.take();
+                (back.core, back.outcome)
+            }
+            Baton::Kept(..) => unreachable!("the caller of Sim::run is no simulated thread"),
+        };
+        match outcome {
+            Ok(reason) => {
+                let report = core.finish_run(reason, start);
+                self.core = Some(core);
+                report
+            }
+            Err(payload) => {
+                self.core = Some(core);
+                resume_unwind(payload)
+            }
+        }
+    }
+
+    fn core(&self) -> &Core {
+        self.core.as_deref().expect("the core is home between runs")
+    }
+
+    fn core_mut(&mut self) -> &mut Core {
+        self.core
+            .as_deref_mut()
+            .expect("the core is home between runs")
+    }
+}
+
+impl Core {
+    fn new(cfg: SimConfig) -> Box<Core> {
         crate::install_panic_silencer();
-        let (req_tx, req_rx) = mpsc::channel();
         let seed = cfg.seed;
         let daemon = cfg.system_daemon;
         let kind = cfg.policy;
-        let mut sim = Sim {
+        let mut sim = Box::new(Core {
             cfg,
             clock: SimTime::ZERO,
             clock_mirror: Arc::new(AtomicU64::new(0)),
@@ -589,7 +821,11 @@ impl Sim {
             threads: Vec::new(),
             policy: policy::make(kind, seed),
             queue_arena: NodeArena::new(),
-            pool: WorkerPool::new(),
+            pool: CarrierPool::new(),
+            home: Mailbox::new(),
+            baton_passes: 0,
+            end: SimTime::ZERO,
+            quantum_left: SimDuration::ZERO,
             running: None,
             last_dispatched: None,
             shield: None,
@@ -597,8 +833,6 @@ impl Sim {
             timers: TimerWheel::new(),
             monitors: Vec::new(),
             conds: Vec::new(),
-            req_tx,
-            req_rx,
             sink: None,
             sink_mask: EventMask::EMPTY,
             hazard_mask: EventMask::EMPTY,
@@ -611,7 +845,7 @@ impl Sim {
             chaos_script: None,
             pct_sites: VecDeque::new(),
             hazards: None,
-        };
+        });
         sim.chaos_script = sim.cfg.chaos.script.as_ref().map(|s| s.cursors());
         if sim.chaos_script.is_none() {
             if let Some(pct) = sim.cfg.chaos.pct {
@@ -650,135 +884,9 @@ impl Sim {
         sim
     }
 
-    /// Creates a runtime with default (paper) configuration.
-    pub fn with_defaults() -> Sim {
-        Sim::new(SimConfig::default())
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.clock
-    }
-
-    /// Runtime counters accumulated so far.
-    pub fn stats(&self) -> &SimStats {
-        &self.stats
-    }
-
-    /// Allocation/reuse counters for the sim's pooled resources (timer
-    /// slab, queue-node arena, carrier-thread pool). Snapshot before and
-    /// after a window and subtract with [`AllocCounters::since`] to
-    /// verify the hot path runs allocation-free at steady state.
-    pub fn alloc_counters(&self) -> AllocCounters {
-        let (timer_node_allocs, timer_node_reuses) = self.timers.alloc_stats();
-        let (queue_node_allocs, queue_node_reuses) = self.queue_arena.alloc_stats();
-        AllocCounters {
-            timer_node_allocs,
-            timer_node_reuses,
-            queue_node_allocs,
-            queue_node_reuses,
-            os_thread_spawns: self.pool.spawns,
-            os_thread_reuses: self.pool.reuses,
-        }
-    }
-
-    /// Installs a trace sink; events flow to it from now on. The sink's
-    /// [`TraceSink::subscriptions`] mask is read once here: only events
-    /// of subscribed kinds are constructed and dispatched to it.
-    pub fn set_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.sink_mask = sink.subscriptions();
-        self.sink = Some(sink);
-    }
-
-    /// Removes and returns the trace sink.
-    pub fn take_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.sink_mask = EventMask::EMPTY;
-        self.sink.take()
-    }
-
-    /// The online hazard monitor, when
-    /// [`SimConfig::with_hazard_detection`](crate::SimConfig::with_hazard_detection)
-    /// enabled one.
-    pub fn hazards(&self) -> Option<&HazardMonitor> {
-        self.hazards.as_ref()
-    }
-
-    /// Removes and returns the hazard monitor (detection stops).
-    pub fn take_hazards(&mut self) -> Option<HazardMonitor> {
-        self.hazard_mask = EventMask::EMPTY;
-        self.hazards.take()
-    }
-
-    /// Post-run summary of every thread ever created. Allocates one
-    /// `Vec` plus a name per thread; prefer [`Sim::threads_iter`] when a
-    /// borrowed view is enough.
-    pub fn threads(&self) -> Vec<ThreadInfo> {
-        self.threads_iter().map(|v| v.to_info()).collect()
-    }
-
-    /// Iterates borrowed summaries of every thread ever created, in
-    /// creation order, without allocating.
-    pub fn threads_iter(&self) -> impl Iterator<Item = ThreadView<'_>> + '_ {
-        self.threads.iter().enumerate().map(|(i, t)| ThreadView {
-            tid: ThreadId(i as u32),
-            name: &t.name,
-            priority: t.priority,
-            cpu: t.cpu,
-            exited: t.exited,
-            panicked: t.panicked,
-            parent: t.parent,
-            generation: t.generation,
-        })
-    }
-
-    /// Number of threads ever created (exited ones included).
-    pub fn thread_count(&self) -> usize {
-        self.threads.len()
-    }
-
-    /// Number of threads currently alive.
-    pub fn live_threads(&self) -> usize {
-        self.live_threads
-    }
-
-    /// The name of every monitor, indexed by [`MonitorId::as_u32`].
-    /// Exporters use this to label lock tracks and contention rows.
-    pub fn monitor_names(&self) -> Vec<String> {
-        self.monitors.iter().map(|m| m.name.clone()).collect()
-    }
-
-    /// For every condition variable, indexed by [`CondId::as_u32`]: its
-    /// name and the monitor it belongs to.
-    pub fn condition_info(&self) -> Vec<(String, MonitorId)> {
-        self.conds
-            .iter()
-            .map(|c| (c.name.clone(), c.monitor))
-            .collect()
-    }
-
     // ---- resilience introspection & recovery ------------------------------
 
-    /// The complete fault schedule injected so far: every positive chaos
-    /// decision in chronological order, plus the stall specs in force.
-    /// Feeding it to a fresh `Sim` with the same [`SimConfig`] via
-    /// [`ChaosConfig::scripted`](crate::ChaosConfig::scripted) replays
-    /// exactly these faults, with no RNG involved.
-    pub fn fault_schedule(&self) -> FaultSchedule {
-        FaultSchedule {
-            decisions: self.chaos_trace.clone(),
-            stalls: self.cfg.chaos.stalls.clone(),
-        }
-    }
-
-    /// Every currently blocked thread, as wait-for-graph nodes. CV
-    /// waiters are included (for rendering); chaos-stalled and sleeping
-    /// threads are not — they have timers pending.
-    pub fn blocked_threads(&self) -> Vec<crate::WaitingThread> {
+    fn blocked_threads(&self) -> Vec<crate::WaitingThread> {
         let mut out = Vec::new();
         for (i, t) in self.threads.iter().enumerate() {
             if t.exited {
@@ -828,10 +936,7 @@ impl Sim {
         out
     }
 
-    /// Snapshots the wait-for graph of the current instant: blocked
-    /// threads, their edges, and any chaos-stalled roots. See
-    /// [`crate::WaitForGraph`] for wedge and cycle queries.
-    pub fn wait_for_graph(&self) -> crate::WaitForGraph {
+    fn wait_for_graph(&self) -> crate::WaitForGraph {
         let stalled = self
             .threads
             .iter()
@@ -859,12 +964,7 @@ impl Sim {
         }
     }
 
-    /// Fails every FORK currently blocked waiting for a thread slot
-    /// (§5.4 recovery: drain the queue instead of letting callers hang).
-    /// Each blocked forker resumes with
-    /// [`ForkError::ResourcesExhausted`](crate::ForkError::ResourcesExhausted).
-    /// Returns how many forks were failed.
-    pub fn fail_pending_forks(&mut self) -> usize {
+    fn fail_pending_forks(&mut self) -> usize {
         let pending: Vec<ThreadId> = self
             .pending_forks
             .drain(..)
@@ -883,11 +983,7 @@ impl Sim {
         n
     }
 
-    /// Clears any chaos stall on `tid` — in force or pending — and puts
-    /// a stalled thread back in the ready queue (§5.2 recovery: restart
-    /// the unresponsive component). The orphaned `ChaosStallEnd` timer
-    /// no-ops when it fires. Returns true if anything changed.
-    pub fn rejuvenate(&mut self, tid: ThreadId) -> bool {
+    fn rejuvenate(&mut self, tid: ThreadId) -> bool {
         let had_pending = self.threads[tid.0 as usize].stall_pending.take().is_some();
         let was_stalled = self.threads[tid.0 as usize].state == TState::Stalled;
         if was_stalled {
@@ -896,13 +992,7 @@ impl Sim {
         had_pending || was_stalled
     }
 
-    /// Re-levels a live thread from outside (§6.2 recovery: boost a
-    /// preempted lock holder so its high-priority waiter can make
-    /// progress). A ready thread is re-queued at its new level; a
-    /// blocked, stalled, or running thread just carries the new priority
-    /// from its next scheduling point. Returns false if the thread has
-    /// exited.
-    pub fn set_thread_priority(&mut self, tid: ThreadId, priority: Priority) -> bool {
+    fn set_thread_priority(&mut self, tid: ThreadId, priority: Priority) -> bool {
         let Some(t) = self.threads.get(tid.0 as usize) else {
             return false;
         };
@@ -922,12 +1012,7 @@ impl Sim {
         true
     }
 
-    /// Toggles metalock cycle donation at runtime (§6.2 recovery: the
-    /// remedy PCR shipped). Enabling it immediately donates the
-    /// remaining window of every preempted metalock holder that has
-    /// waiters stalled behind it — a stalled holder is rejuvenated
-    /// first. Returns how many stuck metalocks were cleared.
-    pub fn set_metalock_donation(&mut self, enabled: bool) -> usize {
+    fn set_metalock_donation(&mut self, enabled: bool) -> usize {
         self.cfg.metalock_donation = enabled;
         if !enabled {
             return 0;
@@ -956,55 +1041,6 @@ impl Sim {
     }
 
     // ---- pre-run construction -------------------------------------------
-
-    /// Creates a monitor before the run starts.
-    pub fn monitor<T: Send + 'static>(&mut self, name: &str, data: T) -> Monitor<T> {
-        let id = MonitorId(self.monitors.len() as u32);
-        self.monitors.push(MonitorState::new(name.to_string()));
-        Monitor::new(id, name, data)
-    }
-
-    /// Creates a condition variable on `m` before the run starts.
-    pub fn condition<T: Send + 'static>(
-        &mut self,
-        m: &Monitor<T>,
-        name: &str,
-        timeout: Option<SimDuration>,
-    ) -> Condition {
-        let id = CondId(self.conds.len() as u32);
-        self.conds.push(CvState {
-            name: name.to_string(),
-            monitor: m.id(),
-            timeout,
-            queue: QList::new(),
-            live: 0,
-        });
-        Condition {
-            id,
-            monitor: m.id(),
-            name: name.to_string(),
-            timeout,
-        }
-    }
-
-    /// Forks a root thread (generation 0) at the given priority
-    /// (`None` = default priority 4).
-    pub fn fork_root<T, F>(&mut self, name: &str, priority: Priority, f: F) -> JoinHandle<T>
-    where
-        T: Send + 'static,
-        F: FnOnce(&ThreadCtx) -> T + Send + 'static,
-    {
-        self.fork_root_with(name, Some(priority), false, f)
-    }
-
-    /// Forks a detached root thread.
-    pub fn fork_root_detached<F>(&mut self, name: &str, priority: Priority, f: F) -> ThreadId
-    where
-        F: FnOnce(&ThreadCtx) + Send + 'static,
-    {
-        let h = self.fork_root_with(name, Some(priority), true, f);
-        h.tid()
-    }
 
     fn fork_root_with<T, F>(
         &mut self,
@@ -1043,23 +1079,16 @@ impl Sim {
         let generation = parent
             .map(|p| self.threads[p.0 as usize].generation + 1)
             .unwrap_or(0);
-        let (reply_tx, reply_rx) = reply_channel();
+        let worker = self.pool.acquire();
         let ctx = ThreadCtx {
             tid,
             name: spec.name.clone(),
-            channels: ThreadChannels {
-                req_tx: self.req_tx.clone(),
-                reply_rx,
-            },
+            link: Link::Baton(BatonLink::new(Arc::clone(self.pool.mailbox(worker)))),
             clock: Arc::clone(&self.clock_mirror),
             shutting_down: std::cell::Cell::new(false),
             priority: std::cell::Cell::new(priority),
             seed: self.cfg.seed,
         };
-        let worker = self.pool.assign(Assignment {
-            body: spec.body,
-            ctx,
-        });
         self.threads.push(Tcb {
             name: spec.name,
             priority,
@@ -1067,7 +1096,7 @@ impl Sim {
             pending_reply: Some(Reply::Ok),
             debt: SimDuration::ZERO,
             after_debt: AfterDebt::Reply,
-            reply_tx,
+            start: Some(Box::new((ctx, spec.body))),
             worker: Some(worker),
             detached: spec.detached,
             joiner: None,
@@ -1142,7 +1171,7 @@ impl Sim {
     /// fields, so the policy can mutate its structure while reading
     /// thread state.
     fn policy_split(&mut self) -> (&mut dyn Scheduler, PolicyCtx<'_>) {
-        let Sim {
+        let Core {
             policy,
             queue_arena,
             threads,
@@ -1650,41 +1679,25 @@ impl Sim {
         t.after_debt = AfterDebt::Reply;
     }
 
-    // ---- the run loop -------------------------------------------------------
+    // ---- the scheduler step ------------------------------------------------
 
-    /// Advances the simulation until the limit is reached, every thread
-    /// has exited, or the remaining threads are deadlocked.
-    pub fn run(&mut self, limit: RunLimit) -> RunReport {
-        let start = self.clock;
-        let end = match limit {
+    /// Arms the core for a [`Sim::run`] ending at `limit`.
+    fn begin_run(&mut self, limit: RunLimit) {
+        debug_assert!(
+            self.running.is_none(),
+            "a run begins with no thread on the CPU"
+        );
+        self.end = match limit {
             RunLimit::For(d) => self.clock.saturating_add(d),
             RunLimit::Until(t) => t,
             RunLimit::ToCompletion => SimTime::MAX,
         };
-        let reason = loop {
-            self.fire_due_timers();
-            if self.live_threads == 0 {
-                break StopReason::AllExited;
-            }
-            if self.clock >= end {
-                break StopReason::TimeLimit;
-            }
-            match self.pick_next() {
-                Some((tid, slice, shield)) => {
-                    self.dispatch(tid, slice, shield, end);
-                }
-                None => match self.timers.next_deadline() {
-                    Some(t) if t <= end => self.set_clock(t),
-                    Some(_) => {
-                        self.set_clock(end);
-                        break StopReason::TimeLimit;
-                    }
-                    None => break StopReason::Deadlock(self.deadlock_report()),
-                },
-            }
-        };
-        if reason == StopReason::TimeLimit && self.clock < end && end != SimTime::MAX {
-            self.set_clock(end);
+    }
+
+    /// Closes a run that stopped for `reason`.
+    fn finish_run(&mut self, reason: StopReason, start: SimTime) -> RunReport {
+        if reason == StopReason::TimeLimit && self.clock < self.end && self.end != SimTime::MAX {
+            self.set_clock(self.end);
         }
         RunReport {
             reason,
@@ -1696,6 +1709,97 @@ impl Sim {
                 .map(|h| h.counts())
                 .unwrap_or_default(),
         }
+    }
+
+    /// Handles the running thread's request, then steps on to the next
+    /// reply or stop.
+    pub(crate) fn request(&mut self, tid: ThreadId, req: Request) -> Step {
+        debug_assert_eq!(
+            self.running,
+            Some(tid),
+            "request from a thread that is not running"
+        );
+        self.handle_request(tid, req);
+        if self.threads[tid.0 as usize].state != TState::Running {
+            self.end_dispatch(tid);
+        }
+        self.step()
+    }
+
+    /// Advances the simulation until some thread is to be resumed, the
+    /// limit is reached, every thread has exited, or the remaining
+    /// threads are deadlocked.
+    pub(crate) fn step(&mut self) -> Step {
+        loop {
+            if let Some(tid) = self.running {
+                if let Some(reply) = self.continue_dispatch(tid) {
+                    return Step::Reply(tid, reply);
+                }
+                self.end_dispatch(tid);
+                continue;
+            }
+            self.fire_due_timers();
+            if self.live_threads == 0 {
+                return Step::Stop(StopReason::AllExited);
+            }
+            if self.clock >= self.end {
+                return Step::Stop(StopReason::TimeLimit);
+            }
+            match self.pick_next() {
+                Some((tid, slice, shield)) => self.begin_dispatch(tid, slice, shield),
+                None => match self.timers.next_deadline() {
+                    Some(t) if t <= self.end => self.set_clock(t),
+                    Some(_) => {
+                        self.set_clock(self.end);
+                        return Step::Stop(StopReason::TimeLimit);
+                    }
+                    None => return Step::Stop(StopReason::Deadlock(self.deadlock_report())),
+                },
+            }
+        }
+    }
+
+    /// Sends the baton where `step` says. `me` is the calling simulated
+    /// thread, `None` for the thread in [`Sim::run`].
+    pub(crate) fn pass(
+        mut self: Box<Self>,
+        step: std::thread::Result<Step>,
+        me: Option<ThreadId>,
+    ) -> Baton {
+        let outcome = match step {
+            Ok(Step::Reply(tid, reply)) if Some(tid) == me => return Baton::Kept(self, reply),
+            Ok(Step::Reply(tid, reply)) => {
+                self.baton_passes += 1;
+                let t = &mut self.threads[tid.0 as usize];
+                let start = t.start.take().map(|b| *b);
+                let worker = t.worker.expect("a live thread has a carrier");
+                let mailbox = Arc::clone(self.pool.mailbox(worker));
+                mailbox.put(match start {
+                    Some((ctx, body)) => {
+                        debug_assert_eq!(reply, Reply::Ok, "a thread's first reply starts it");
+                        CarrierMsg::Start {
+                            ctx,
+                            body,
+                            core: self,
+                        }
+                    }
+                    None => CarrierMsg::Resume { core: self, reply },
+                });
+                return Baton::Passed;
+            }
+            Ok(Step::Stop(reason)) => Ok(reason),
+            Err(payload) => Err(payload),
+        };
+        if me.is_none() {
+            return Baton::Home(self, outcome);
+        }
+        self.baton_passes += 1;
+        let home = Arc::clone(&self.home);
+        home.put(Handback {
+            core: self,
+            outcome,
+        });
+        Baton::Passed
     }
 
     fn pick_next(&mut self) -> Option<(ThreadId, Option<SimDuration>, Option<Shield>)> {
@@ -1718,12 +1822,13 @@ impl Sim {
         self.pop_ready_excluding(None).map(|t| (t, None, None))
     }
 
-    fn dispatch(
+    /// Puts `tid` on the CPU. A dispatch-time monitor acquire that blocks
+    /// ends the dispatch at once.
+    fn begin_dispatch(
         &mut self,
         tid: ThreadId,
         quantum_override: Option<SimDuration>,
         shield: Option<Shield>,
-        end: SimTime,
     ) {
         self.chaos_priority_change(tid);
         if self.last_dispatched != Some(tid) {
@@ -1746,38 +1851,40 @@ impl Sim {
         self.running = Some(tid);
         self.threads[tid.0 as usize].state = TState::Running;
         self.shield = shield;
-        let mut quantum_left = quantum_override.unwrap_or_else(|| self.policy_timeslice(tid));
+        self.quantum_left = quantum_override.unwrap_or_else(|| self.policy_timeslice(tid));
 
         // A CV wake or metalock retry acquires its monitor now; blocking
         // here is the "useless trip through the scheduler" of §6.1.
         if let Some(mid) = self.threads[tid.0 as usize].acquire_on_dispatch.take() {
             if !self.dispatch_acquire(tid, mid) {
-                self.policy.on_block(tid);
-                self.running = None;
-                self.shield = None;
-                return;
+                self.end_dispatch(tid);
             }
         }
+    }
 
+    /// Runs the dispatched thread's debt, timers and preemption checks
+    /// until it is due its pending reply (returned) or leaves the CPU
+    /// (`None`).
+    fn continue_dispatch(&mut self, tid: ThreadId) -> Option<Reply> {
         loop {
             self.fire_due_timers();
             if self.threads[tid.0 as usize].state != TState::Running {
                 // A chaos stall caught the running thread mid-dispatch
                 // (no other timer touches a Running thread); it must not
                 // be re-enqueued until its stall ends.
-                break;
+                return None;
             }
-            if self.clock >= end {
+            if self.clock >= self.end {
                 self.push_ready_front(tid);
-                break;
+                return None;
             }
             if self.preempt_needed() {
                 self.push_ready_front(tid);
-                break;
+                return None;
             }
             let debt = self.threads[tid.0 as usize].debt;
             if !debt.is_zero() {
-                let mut slice = debt.min(quantum_left).min(end.since(self.clock));
+                let mut slice = debt.min(self.quantum_left).min(self.end.since(self.clock));
                 if let Some(nt) = self.timers.next_deadline() {
                     slice = slice.min(nt.saturating_since(self.clock));
                 }
@@ -1787,47 +1894,35 @@ impl Sim {
                     if self.shield.is_some() {
                         self.shield = None;
                         self.push_ready_back(tid);
-                        break;
+                        return None;
                     }
                     if self.quantum_competitor_exists(tid) {
                         self.push_ready_back(tid);
-                        break;
+                        return None;
                     }
-                    quantum_left = self.policy_timeslice(tid);
+                    self.quantum_left = self.policy_timeslice(tid);
                     continue;
                 }
                 self.charge_thread(tid, slice);
                 self.threads[tid.0 as usize].debt -= slice;
-                quantum_left -= slice;
+                self.quantum_left -= slice;
                 continue;
             }
-            match self.threads[tid.0 as usize].after_debt {
-                AfterDebt::BlockOnMutex(mid) => {
-                    self.finish_block_on_mutex(tid, mid);
-                    // finish_block_on_mutex may have granted immediately
-                    // (thread is Ready) or blocked it; either way this
-                    // dispatch ends.
-                    break;
-                }
-                AfterDebt::Reply => {}
+            if let AfterDebt::BlockOnMutex(mid) = self.threads[tid.0 as usize].after_debt {
+                // This may grant the monitor at once (thread Ready) or
+                // block; either way this dispatch ends.
+                self.finish_block_on_mutex(tid, mid);
+                return None;
             }
             let Some(reply) = self.threads[tid.0 as usize].pending_reply.take() else {
                 unreachable!("running thread {tid:?} has no debt and no pending reply");
             };
-            self.threads[tid.0 as usize]
-                .reply_tx
-                .send(reply)
-                .expect("simulated thread vanished while running");
-            let (rtid, req) = self
-                .req_rx
-                .recv()
-                .expect("simulated thread disconnected while running");
-            debug_assert_eq!(rtid, tid, "request from a thread that is not running");
-            self.handle_request(tid, req);
-            if self.threads[tid.0 as usize].state != TState::Running {
-                break;
-            }
+            return Some(reply);
         }
+    }
+
+    /// Takes `tid` off the CPU.
+    fn end_dispatch(&mut self, tid: ThreadId) {
         if !matches!(
             self.threads[tid.0 as usize].state,
             TState::Running | TState::Ready | TState::Exited
@@ -2269,8 +2364,8 @@ impl Sim {
         t.debt = SimDuration::ZERO;
         self.live_threads -= 1;
         // Release the carrier thread back to the pool without joining:
-        // it returns to its assignment loop right after sending Exit,
-        // and a successor assignment queues safely in the meantime.
+        // it returns to its loop right after passing the baton on, and a
+        // successor's start waits in its mailbox in the meantime.
         if let Some(w) = self.threads[tid.0 as usize].worker.take() {
             self.pool.release(w);
         }
@@ -2343,32 +2438,25 @@ impl Sim {
         }
         DeadlockReport { blocked }
     }
-
-    fn shutdown(&mut self) {
-        // Unblock every still-live body (the shutdown reply unwinds it),
-        // then disconnect and join the carrier pool.
-        for t in &self.threads {
-            if !t.exited {
-                let _ = t.reply_tx.send(Reply::Shutdown);
-            }
-        }
-        self.pool.shutdown();
-    }
 }
 
 impl Drop for Sim {
     fn drop(&mut self) {
-        self.shutdown();
+        // Unwind every parked body, then join the carrier pool.
+        if let Some(core) = &mut self.core {
+            core.pool.shutdown();
+        }
     }
 }
 
 impl std::fmt::Debug for Sim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let core = self.core();
         f.debug_struct("Sim")
-            .field("now", &self.clock)
-            .field("live_threads", &self.live_threads)
-            .field("monitors", &self.monitors.len())
-            .field("conditions", &self.conds.len())
+            .field("now", &core.clock)
+            .field("live_threads", &core.live_threads)
+            .field("monitors", &core.monitors.len())
+            .field("conditions", &core.conds.len())
             .finish()
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The dispatch decision of [`Sim`](crate::Sim) sits behind the
 //! [`Scheduler`] trait: the simulator owns thread state, timers, and the
-//! rendezvous protocol, and delegates *which runnable thread goes next*
+//! baton handoff, and delegates *which runnable thread goes next*
 //! to the installed policy. The paper's scheduler — 7 strict priorities,
 //! round-robin within a level, 50 ms quantum — is the default
 //! ([`RoundRobin`]); three alternatives ship alongside it for the

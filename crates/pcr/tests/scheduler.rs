@@ -556,3 +556,175 @@ fn set_priority_to_lower_yields_to_waiting_peer() {
         "peer ({peer_end}) must overtake the demoted thread ({demoted_end})"
     );
 }
+
+// ---- the baton: handoffs, scheduler panics, teardown -----------------------
+
+#[test]
+fn a_lone_thread_keeps_the_baton() {
+    // The thread holding the baton runs every scheduler step itself, so
+    // a thread that never switches costs one handoff out of `Sim::run`
+    // and one back, however many primitives it calls.
+    let mut s = sim();
+    let m = s.monitor("counter", 0u32);
+    let _ = s.fork_root("hammer", Priority::DEFAULT, move |ctx| {
+        for _ in 0..1_000 {
+            ctx.enter(&m).with_mut(|n| *n += 1);
+        }
+    });
+    let before = s.alloc_counters();
+    let r = s.run(RunLimit::ToCompletion);
+    assert_eq!(r.reason, StopReason::AllExited);
+    assert_eq!(s.stats().ml_enters, 1_000);
+    let passes = s.alloc_counters().since(before).baton_passes;
+    assert!(passes <= 2, "{passes} baton passes for one thread");
+}
+
+#[test]
+fn baton_passes_track_simulated_switches() {
+    // A CV ping-pong switches on every turn; each switch moves the baton
+    // once, plus the trip out of `Sim::run` and back.
+    let mut s = sim();
+    let turn = s.monitor("turn", false);
+    let flipped = s.condition(&turn, "flipped", None);
+    for me in [false, true] {
+        let (m, cv) = (turn.clone(), flipped.clone());
+        let _ = s.fork_root(
+            if me { "pong" } else { "ping" },
+            Priority::DEFAULT,
+            move |ctx| {
+                for _ in 0..200 {
+                    let mut g = ctx.enter(&m);
+                    g.wait_until(&cv, |t| *t == me);
+                    g.with_mut(|t| *t = !me);
+                    g.notify(&cv);
+                }
+            },
+        );
+    }
+    let before = s.alloc_counters();
+    let r = s.run(RunLimit::ToCompletion);
+    assert_eq!(r.reason, StopReason::AllExited);
+    let passes = s.alloc_counters().since(before).baton_passes;
+    let switches = s.stats().switches;
+    assert!(switches >= 400, "ping-pong made only {switches} switches");
+    assert!(
+        passes <= switches + 2,
+        "{passes} baton passes for {switches} switches"
+    );
+}
+
+/// A sink that panics on the first event of the chosen kind.
+struct ExplodingSink(fn(&pcr::EventKind) -> bool);
+
+impl pcr::TraceSink for ExplodingSink {
+    fn record(&mut self, ev: &pcr::Event) {
+        if (self.0)(&ev.kind) {
+            panic!("sink exploded");
+        }
+    }
+
+    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
+        self
+    }
+}
+
+fn run_with_exploding_sink(trigger: fn(&pcr::EventKind) -> bool) {
+    let mut s = sim();
+    let m = s.monitor("m", 0u32);
+    for name in ["a", "b"] {
+        let m = m.clone();
+        let _ = s.fork_root(name, Priority::DEFAULT, move |ctx| loop {
+            ctx.enter(&m).with_mut(|n| *n += 1);
+            ctx.work(millis(1));
+            ctx.yield_now();
+        });
+    }
+    s.set_sink(Box::new(ExplodingSink(trigger)));
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        s.run(RunLimit::For(secs(1)))
+    }));
+    let payload = caught.expect_err("the sink's panic must escape Sim::run");
+    assert_eq!(payload.downcast_ref::<&str>(), Some(&"sink exploded"));
+    assert_eq!(s.stats().panics, 0, "a scheduler panic is no thread panic");
+    assert!(s.threads().iter().all(|t| !t.panicked));
+    drop(s); // Must unwind both parked threads and return.
+}
+
+#[test]
+fn sink_panic_on_the_run_thread_escapes_run() {
+    // The first Switch is emitted by the step `Sim::run` itself takes.
+    run_with_exploding_sink(|k| matches!(k, pcr::EventKind::Switch { .. }));
+}
+
+#[test]
+fn sink_panic_on_a_carrier_escapes_run() {
+    // The first MlExit is emitted by a step a simulated thread runs.
+    run_with_exploding_sink(|k| matches!(k, pcr::EventKind::MlExit { .. }));
+}
+
+#[test]
+fn dropping_a_stopped_sim_unwinds_every_parked_thread() {
+    use std::sync::Arc;
+    // Every body (and the one fork still waiting for a slot) holds a
+    // clone of `token`; after the drop only the test's own is left.
+    let token = Arc::new(());
+    let cfg = SimConfig::default()
+        .with_max_threads(6)
+        .with_fork_policy(pcr::ForkPolicy::WaitForResources);
+    let mut s = Sim::new(cfg);
+    let m = s.monitor("held", ());
+    let cv_m = s.monitor("cv", ());
+    let never = s.condition(&cv_m, "never", None);
+    let (hi, lo) = (Priority::of(5), Priority::of(4));
+    let t = Arc::clone(&token);
+    let mh = m.clone();
+    let holder = s.fork_root("holder", lo, move |ctx| {
+        let _t = t;
+        let _g = ctx.enter(&mh);
+        ctx.work(secs(3600)); // Preempted inside `held`.
+    });
+    let t = Arc::clone(&token);
+    let _ = s.fork_root("blocked", hi, move |ctx| {
+        let _t = t;
+        ctx.sleep_precise(millis(1));
+        let _g = ctx.enter(&m); // Parked in a monitor.
+    });
+    let t = Arc::clone(&token);
+    let _ = s.fork_root("waiter", hi, move |ctx| {
+        let _t = t;
+        let mut g = ctx.enter(&cv_m);
+        ctx.wait(&mut g, &never); // Parked in a CV wait.
+    });
+    let t = Arc::clone(&token);
+    let _ = s.fork_root("sleeper", hi, move |ctx| {
+        let _t = t;
+        ctx.sleep(secs(3600)); // Parked in a sleep.
+    });
+    let t = Arc::clone(&token);
+    let _ = s.fork_root("joiner", hi, move |ctx| {
+        let _t = t;
+        ctx.join(holder).ok(); // Parked in a join.
+    });
+    let t = Arc::clone(&token);
+    let _ = s.fork_root("forker", hi, move |ctx| {
+        let t2 = Arc::clone(&t);
+        let _t = t;
+        ctx.sleep_precise(millis(2));
+        // Six live threads: parked waiting for a slot.
+        if let Ok(tid) = ctx.fork_detached("late", move |_| drop(t2)) {
+            panic!("fork of {tid:?} should have waited for a slot");
+        }
+    });
+    let r = s.run(RunLimit::For(millis(50)));
+    assert_eq!(r.reason, StopReason::TimeLimit);
+    assert_eq!(s.stats().fork_blocks, 1);
+    assert_eq!(s.stats().ml_contended, 1);
+    assert_eq!(s.live_threads(), 6);
+    assert_eq!(Arc::strong_count(&token), 8);
+    drop(s);
+    assert_eq!(
+        Arc::strong_count(&token),
+        1,
+        "a parked body outlived its Sim"
+    );
+}

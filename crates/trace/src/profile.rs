@@ -13,8 +13,11 @@
 //!   which releases the monitor;
 //! * a **wait** runs from a contended `MlEnter` to the `MlAcquired`
 //!   grant.
-
-use std::collections::BTreeMap;
+//!
+//! The profiler records on whichever OS thread holds the simulator's
+//! baton, so it keeps its per-event path allocation-free: monitor ids
+//! are dense and index a vector sized from the topology up front, and
+//! the few holds and waits open at any instant live in small vectors.
 
 use pcr::{Event, EventKind, SimDuration, SimTime, TraceSink};
 
@@ -83,15 +86,34 @@ pub struct MonitorProfileRow {
 /// unless a thread nests monitors *and* waits on the inner one.
 #[derive(Debug, Default)]
 pub struct ContentionProfiler {
-    per_monitor: BTreeMap<u32, MonitorProfile>,
+    /// Counters indexed by raw monitor id; `None` until an event touches
+    /// the monitor.
+    per_monitor: Vec<Option<MonitorProfile>>,
     /// Monitor names, indexed by raw id.
     names: Vec<String>,
     /// Condition-variable → monitor mapping, indexed by raw cv id.
     cv_monitor: Vec<u32>,
-    /// Open holds: `(tid, monitor) → start`.
-    open_holds: BTreeMap<(u32, u32), SimTime>,
-    /// Open queued waits: `(tid, monitor) → start`.
-    open_waits: BTreeMap<(u32, u32), SimTime>,
+    /// Open holds: `((tid, monitor), start)`.
+    open_holds: Vec<((u32, u32), SimTime)>,
+    /// Open queued waits: `((tid, monitor), start)`.
+    open_waits: Vec<((u32, u32), SimTime)>,
+}
+
+/// Room reserved for simultaneously open holds, and for open waits.
+const OPEN_RESERVE: usize = 64;
+
+/// Starts (or restarts) the open interval keyed `key` at `t`.
+fn open_at(open: &mut Vec<((u32, u32), SimTime)>, key: (u32, u32), t: SimTime) {
+    match open.iter_mut().find(|e| e.0 == key) {
+        Some(e) => e.1 = t,
+        None => open.push((key, t)),
+    }
+}
+
+/// Ends the open interval keyed `key`, returning its start.
+fn close(open: &mut Vec<((u32, u32), SimTime)>, key: (u32, u32)) -> Option<SimTime> {
+    let i = open.iter().position(|e| e.0 == key)?;
+    Some(open.swap_remove(i).1)
 }
 
 impl ContentionProfiler {
@@ -104,13 +126,22 @@ impl ContentionProfiler {
     /// by raw id (from [`pcr::Sim::monitor_names`] and
     /// [`pcr::Sim::condition_info`]).
     pub fn set_topology(&mut self, monitor_names: Vec<String>, cv_monitor: Vec<u32>) {
+        if self.per_monitor.len() < monitor_names.len() {
+            self.per_monitor.resize(monitor_names.len(), None);
+        }
+        self.open_holds.reserve(OPEN_RESERVE);
+        self.open_waits.reserve(OPEN_RESERVE);
         self.names = monitor_names;
         self.cv_monitor = cv_monitor;
     }
 
     /// The profile of one monitor by raw id.
     pub fn for_monitor(&self, monitor: u32) -> MonitorProfile {
-        self.per_monitor.get(&monitor).copied().unwrap_or_default()
+        self.per_monitor
+            .get(monitor as usize)
+            .copied()
+            .flatten()
+            .unwrap_or_default()
     }
 
     /// Finished rows, hottest first (most contended entries, then most
@@ -119,7 +150,9 @@ impl ContentionProfiler {
         let mut rows: Vec<MonitorProfileRow> = self
             .per_monitor
             .iter()
-            .map(|(&monitor, &profile)| MonitorProfileRow {
+            .enumerate()
+            .filter_map(|(i, p)| p.map(|p| (i as u32, p)))
+            .map(|(monitor, profile)| MonitorProfileRow {
                 monitor,
                 name: self
                     .names
@@ -141,22 +174,27 @@ impl ContentionProfiler {
 
     /// Total entries across all monitors.
     pub fn total_enters(&self) -> u64 {
-        self.per_monitor.values().map(|p| p.enters).sum()
+        self.per_monitor.iter().flatten().map(|p| p.enters).sum()
     }
 
     /// Total contended entries across all monitors.
     pub fn total_contended(&self) -> u64 {
-        self.per_monitor.values().map(|p| p.contended).sum()
+        self.per_monitor.iter().flatten().map(|p| p.contended).sum()
     }
 
-    fn open_hold(&mut self, tid: u32, monitor: u32, t: SimTime) {
-        self.open_holds.insert((tid, monitor), t);
+    /// The counters of `monitor`, created on first touch.
+    fn entry(&mut self, monitor: u32) -> &mut MonitorProfile {
+        let i = monitor as usize;
+        if i >= self.per_monitor.len() {
+            self.per_monitor.resize(i + 1, None);
+        }
+        self.per_monitor[i].get_or_insert_with(MonitorProfile::default)
     }
 
     fn close_hold(&mut self, tid: u32, monitor: u32, t: SimTime) {
-        if let Some(start) = self.open_holds.remove(&(tid, monitor)) {
+        if let Some(start) = close(&mut self.open_holds, (tid, monitor)) {
             let held = t.saturating_since(start);
-            let p = self.per_monitor.entry(monitor).or_default();
+            let p = self.entry(monitor);
             p.total_hold += held;
             if held > p.max_hold {
                 p.max_hold = held;
@@ -173,20 +211,20 @@ impl ContentionProfiler {
                 contended,
             } => {
                 let (tid, monitor) = (tid.as_u32(), monitor.as_u32());
-                let p = self.per_monitor.entry(monitor).or_default();
+                let p = self.entry(monitor);
                 p.enters += 1;
                 if contended {
                     p.contended += 1;
-                    self.open_waits.insert((tid, monitor), t);
+                    open_at(&mut self.open_waits, (tid, monitor), t);
                 } else {
-                    self.open_hold(tid, monitor, t);
+                    open_at(&mut self.open_holds, (tid, monitor), t);
                 }
             }
             EventKind::MlAcquired { tid, monitor } => {
                 let (tid, monitor) = (tid.as_u32(), monitor.as_u32());
-                if let Some(start) = self.open_waits.remove(&(tid, monitor)) {
+                if let Some(start) = close(&mut self.open_waits, (tid, monitor)) {
                     let waited = t.saturating_since(start);
-                    let p = self.per_monitor.entry(monitor).or_default();
+                    let p = self.entry(monitor);
                     p.total_wait += waited;
                     if waited > p.max_wait {
                         p.max_wait = waited;
@@ -194,7 +232,7 @@ impl ContentionProfiler {
                 }
                 // A CV reacquire grant has no contended MlEnter; either
                 // way the hold starts at the grant.
-                self.open_hold(tid, monitor, t);
+                open_at(&mut self.open_holds, (tid, monitor), t);
             }
             EventKind::MlExit { tid, monitor } => {
                 self.close_hold(tid.as_u32(), monitor.as_u32(), t);
@@ -206,8 +244,8 @@ impl ContentionProfiler {
                     self.close_hold(tid, monitor, t);
                 } else {
                     // No topology: close the thread's only open hold.
-                    let mut open = self.open_holds.range((tid, 0)..=(tid, u32::MAX));
-                    if let (Some((&(_, monitor), _)), None) = (open.next(), open.next()) {
+                    let mut open = self.open_holds.iter().filter(|e| e.0 .0 == tid);
+                    if let (Some(&((_, monitor), _)), None) = (open.next(), open.next()) {
                         self.close_hold(tid, monitor, t);
                     }
                 }
