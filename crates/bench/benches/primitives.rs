@@ -8,7 +8,8 @@
 //! Plain `main()` harness (no external bench framework is available
 //! offline): each target runs a fixed iteration count after a short
 //! warmup and reports mean wall time per iteration. The monitor cycles
-//! also report the cost of one enter+exit pair.
+//! also report the cost of one enter+exit pair, and the sim ping-pong
+//! the cost of one simulated thread switch.
 
 use std::time::{Duration, Instant};
 
@@ -37,6 +38,13 @@ fn per_pair(per_iter: Duration) {
     println!("{:40} {per:>12.2?}/pair", "  one enter+exit pair");
 }
 
+/// Reports the ping-pong's time per simulated thread switch (the
+/// iteration's setup and teardown are spread over its switches).
+fn per_switch(per_iter: Duration, switches: u64) {
+    let per = per_iter / u32::try_from(switches).expect("switches per iteration fit u32");
+    println!("{:40} {per:>12.2?}/switch", "  one simulated switch");
+}
+
 fn sim_fork_join() {
     let mut sim = Sim::new(SimConfig::default());
     let _ = sim.fork_root("main", Priority::DEFAULT, |ctx| {
@@ -60,7 +68,8 @@ fn sim_monitor_cycle() {
     sim.run(RunLimit::ToCompletion);
 }
 
-fn sim_notify_wait() {
+/// Returns the simulated switches the iteration made.
+fn sim_notify_wait() -> u64 {
     let mut sim = Sim::new(SimConfig::default());
     let m = sim.monitor("m", 0u32);
     let cv = sim.condition(&m, "cv", Some(millis(50)));
@@ -82,6 +91,7 @@ fn sim_notify_wait() {
         }
     });
     sim.run(RunLimit::For(pcr::secs(60)));
+    sim.stats().switches
 }
 
 fn sim_timeslicing() {
@@ -97,7 +107,11 @@ fn sim_timeslicing() {
 fn main() {
     bench("sim_fork_join_100", 20, sim_fork_join);
     per_pair(bench("sim_monitor_enter_exit_1000", 20, sim_monitor_cycle));
-    bench("sim_notify_wait_pingpong_500", 20, sim_notify_wait);
+    let mut switches = 0;
+    let pingpong = bench("sim_notify_wait_pingpong_500", 20, || {
+        switches = sim_notify_wait();
+    });
+    per_switch(pingpong, switches);
     bench("sim_timeslicing_1s_virtual", 10, sim_timeslicing);
     let m = mesa::Monitor::new("m", 0u64);
     let mesa_cycle = bench("mesa_monitor_enter_exit_1000", 50, || {

@@ -70,10 +70,11 @@ pub(crate) enum Link {
 }
 
 impl ThreadCtx {
-    /// One request/reply exchange; `None` when the sim is tearing down.
+    /// One request/reply exchange; `None` when an `MpSim` driver has gone
+    /// away.
     fn exchange(&self, req: Request) -> Option<Reply> {
         match &self.link {
-            Link::Baton(b) => b.call(self.tid, req),
+            Link::Baton(b) => Some(b.call(self.tid, req)),
             Link::Channels(c) => c.call(self.tid, req),
         }
     }
@@ -387,39 +388,24 @@ impl ThreadCtx {
             r => unreachable!("new_condition: unexpected reply {r:?}"),
         }
     }
-
-    pub(crate) fn send_exit(&self, panicked: bool) {
-        if self.shutting_down.get() {
-            return;
-        }
-        match &self.link {
-            Link::Baton(b) => b.exit(self.tid, panicked),
-            Link::Channels(c) => c.exit(self.tid, panicked),
-        }
-    }
 }
 
-/// Wraps a user body for result capture and panic handling.
+/// Wraps a user body for result capture and panic handling. The wrapped
+/// body returns whether it panicked; it never unwinds. A teardown unwind
+/// ([`ShutdownSignal`]) records no result.
 pub(crate) fn wrap_body<T: Send + 'static>(
     f: impl FnOnce(&ThreadCtx) -> T + Send + 'static,
     slot: ResultSlot<T>,
 ) -> BodyFn {
     Box::new(move |ctx: &ThreadCtx| {
-        match catch_unwind(AssertUnwindSafe(|| f(ctx))) {
-            Ok(v) => {
-                *slot.lock().expect("result slot poisoned") = Some(Ok(v));
-                ctx.send_exit(false);
-            }
-            Err(payload) => {
-                if payload.is::<ShutdownSignal>() {
-                    // Teardown unwind: vanish quietly.
-                    return;
-                }
-                let msg = panic_message(payload.as_ref());
-                *slot.lock().expect("result slot poisoned") = Some(Err(msg));
-                ctx.send_exit(true);
-            }
-        }
+        let result = match catch_unwind(AssertUnwindSafe(|| f(ctx))) {
+            Ok(v) => Ok(v),
+            Err(payload) if payload.is::<ShutdownSignal>() => return false,
+            Err(payload) => Err(panic_message(payload.as_ref())),
+        };
+        let panicked = result.is_err();
+        *slot.lock().expect("result slot poisoned") = Some(result);
+        panicked
     })
 }
 

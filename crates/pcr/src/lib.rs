@@ -28,11 +28,13 @@
 //!
 //! ## How the simulation works
 //!
-//! Each simulated thread runs on a real OS thread, but exactly one runs
-//! at a time: the one holding the baton, the scheduler state [`Sim`]
-//! owns between runs. That thread runs the scheduler step for its own
-//! runtime calls and passes the baton on only when another thread is to
-//! run. User code between two runtime calls executes in zero virtual
+//! Each simulated thread runs on a coroutine stack of its own, all on
+//! the OS thread that calls [`Sim::run`], and exactly one runs at a
+//! time: the one holding the baton, the scheduler state [`Sim`] owns
+//! between runs. That thread runs the scheduler step for its own
+//! runtime calls and passes the baton on, with a user-space stack
+//! switch, only when another thread is to run (x86_64 Linux only).
+//! User code between two runtime calls executes in zero virtual
 //! time, and virtual CPU is consumed explicitly with [`ThreadCtx::work`].
 //! A given configuration and seed replays identically — which is what
 //! makes the paper's tables reproducible as deterministic experiments.
@@ -64,7 +66,7 @@
 //! assert!(!report.deadlocked());
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod arena;
@@ -81,6 +83,7 @@ pub mod mp;
 mod rendezvous;
 mod rng;
 mod sched;
+mod stack;
 mod thread;
 mod time;
 mod timer;

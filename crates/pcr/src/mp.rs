@@ -268,28 +268,35 @@ impl MpSim {
                 .unwrap_or(Priority::DEFAULT)
         });
         let (reply_tx, reply_rx) = mpsc::channel();
-        let ctx = ThreadCtx {
-            tid,
-            name: spec.name.clone(),
-            link: Link::Channels(ThreadChannels {
-                req_tx: self.req_tx.clone(),
-                reply_rx,
-            }),
-            clock: Arc::clone(&self.clock_mirror),
-            shutting_down: std::cell::Cell::new(false),
-            priority: std::cell::Cell::new(priority),
-            seed: self.cfg.seed,
+        let channels = ThreadChannels {
+            req_tx: self.req_tx.clone(),
+            reply_rx,
         };
+        let name = spec.name.clone();
+        let clock = Arc::clone(&self.clock_mirror);
+        let seed = self.cfg.seed;
         let body = spec.body;
         let os_join = std::thread::Builder::new()
             .name(format!("mp-{}", spec.name))
             .stack_size(128 * 1024)
             .spawn(move || {
-                let Link::Channels(ch) = &ctx.link else {
-                    unreachable!("MpSim threads speak channels")
-                };
-                if let Ok(Reply::Ok) = ch.reply_rx.recv() {
-                    body(&ctx)
+                if let Ok(Reply::Ok) = channels.reply_rx.recv() {
+                    let ctx = ThreadCtx {
+                        tid,
+                        name,
+                        link: Link::Channels(channels),
+                        clock,
+                        shutting_down: std::cell::Cell::new(false),
+                        priority: std::cell::Cell::new(priority),
+                        seed,
+                    };
+                    let panicked = body(&ctx);
+                    let Link::Channels(ch) = &ctx.link else {
+                        unreachable!("MpSim threads speak channels")
+                    };
+                    if !ctx.shutting_down.get() {
+                        ch.exit(tid, panicked);
+                    }
                 }
             })
             .expect("spawn OS thread");

@@ -1,17 +1,25 @@
 //! The baton: how simulated threads and the scheduler share one runner.
 //!
-//! Each simulated thread runs on a pooled OS carrier thread, but exactly
-//! one OS thread ever runs simulation code: the one holding the baton,
-//! the boxed scheduler core. A thread that calls into the runtime
+//! Every simulated thread runs on a coroutine carrier of its own, a
+//! guarded stack from [`crate::stack`], and all of them run on the OS
+//! thread that called [`crate::Sim::run`], as PCR's threads ran inside
+//! one process (§2). Only the holder of the baton runs: the thread that
+//! holds the boxed scheduler core. A thread that calls into the runtime
 //! ([`crate::ThreadCtx`]) runs the scheduler step itself, on its own
 //! stack, with the core it holds (Observationally Cooperative
-//! Multithreading: the baton is the global lock, so no separate
-//! scheduler thread is needed). When the step's decision resumes the
-//! caller, which is the common case, the call just returns. Only when it
-//! resumes a *different* thread does the core move, by value, into that
-//! thread's carrier [`Mailbox`], and the caller parks on its own. A run
-//! that stops hands the core back to the thread blocked in
-//! [`crate::Sim::run`].
+//! Multithreading: the baton is the global lock, so no scheduler thread
+//! is needed). When the step resumes the caller, the common case, the
+//! call just returns. When it resumes a *different* thread, the caller
+//! switches stacks to it in user space and hands over the core in the
+//! switch's [`Transfer`]. A run that stops switches back to the stack
+//! in `Sim::run`, which is the home context of the run.
+//!
+//! The receiver of a switch files the switcher's resume point: in the
+//! switcher's thread record if it parked, as the home context if it was
+//! `Sim::run`, and back into the stack pool if the switcher has exited
+//! (only then is its stack idle). Dropping a `Sim` resumes each parked
+//! thread, newest first, with [`Reply::Shutdown`]; the body unwinds on
+//! its own stack and switches back when done.
 //!
 //! User code between two requests executes in zero virtual time; virtual
 //! time advances only through explicit costs processed by the scheduler.
@@ -20,19 +28,19 @@
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use crate::ctx::{Link, ThreadCtx};
 use crate::error::StopReason;
 use crate::event::{CondId, WaitOutcome};
 use crate::monitor::MonitorId;
 use crate::sched::{Baton, Core};
+use crate::stack::{self, Context};
 use crate::thread::{Priority, ThreadId};
 use crate::time::SimDuration;
 
 /// A simulated thread body, already wrapped for result capture and panic
-/// handling.
-pub(crate) type BodyFn = Box<dyn FnOnce(&crate::ctx::ThreadCtx) + Send + 'static>;
+/// handling. Returns whether the body panicked.
+pub(crate) type BodyFn = Box<dyn FnOnce(&crate::ctx::ThreadCtx) -> bool + Send + 'static>;
 
 /// Everything the scheduler needs to create a thread.
 pub(crate) struct ForkSpec {
@@ -130,218 +138,157 @@ pub(crate) enum Reply {
 /// Panic payload used to unwind a simulated thread at shutdown.
 pub(crate) struct ShutdownSignal;
 
-/// A one-message slot an OS thread parks on. Every message but
-/// [`CarrierMsg::Shutdown`] carries the baton, so at most one is ever
-/// in flight to a given thread.
-pub(crate) struct Mailbox<T> {
-    msg: Mutex<Option<T>>,
-    ready: Condvar,
+/// A suspended stack of the sim: a simulated thread's, or the one in
+/// [`crate::Sim::run`]. Every switch among them carries a [`Transfer`].
+pub(crate) type Carrier = Context<Transfer>;
+
+/// Whose stack a switch left suspended, so that the receiver files its
+/// resume point where the next switch to it will look.
+#[derive(Clone, Copy)]
+pub(crate) enum Origin {
+    /// The thread in [`crate::Sim::run`].
+    Home,
+    /// A simulated thread, to be resumed with a reply.
+    Parked(ThreadId),
+    /// A thread that has exited. Its stack (this pool index) is free
+    /// once it has switched away for the last time.
+    Retired(u32),
 }
 
-impl<T> Mailbox<T> {
-    pub(crate) fn new() -> Arc<Mailbox<T>> {
-        Arc::new(Mailbox {
-            msg: Mutex::new(None),
-            ready: Condvar::new(),
-        })
-    }
-
-    /// Deposits `msg` and wakes the owner.
-    pub(crate) fn put(&self, msg: T) {
-        let mut slot = self.msg.lock().unwrap_or_else(PoisonError::into_inner);
-        debug_assert!(slot.is_none(), "two messages in flight to one thread");
-        *slot = Some(msg);
-        drop(slot);
-        self.ready.notify_one();
-    }
-
-    /// Parks until a message arrives, then takes it.
-    pub(crate) fn take(&self) -> T {
-        let mut slot = self.msg.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(msg) = slot.take() {
-                return msg;
-            }
-            slot = self
-                .ready
-                .wait(slot)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-/// What a carrier thread can be handed.
-pub(crate) enum CarrierMsg {
-    /// Run a newly dispatched thread's body, holding the baton.
-    Start {
-        ctx: ThreadCtx,
-        body: BodyFn,
+/// What one stack switch carries.
+pub(crate) enum Transfer {
+    /// The baton, where it came from, and what the receiver does next.
+    Baton {
         core: Box<Core>,
+        from: Origin,
+        cargo: Cargo,
     },
-    /// Resume the carrier's parked thread with its reply.
-    Resume { core: Box<Core>, reply: Reply },
-    /// The `Sim` is being dropped: unwind any parked body and quit.
+    /// `Drop for Sim`: unwind the parked body, then switch back.
     Shutdown,
+    /// A torn-down thread has finished unwinding.
+    Finished,
 }
 
-/// The baton coming home to the thread blocked in [`crate::Sim::run`]:
-/// the run stopped, or a scheduler step panicked on a carrier.
-pub(crate) struct Handback {
-    pub core: Box<Core>,
-    pub outcome: std::thread::Result<StopReason>,
+/// What the receiver of the baton does with it.
+pub(crate) enum Cargo {
+    /// Run a thread's body: its first dispatch.
+    Start(Box<(ThreadCtx, BodyFn)>),
+    /// Resume a parked thread with its reply.
+    Resume(Reply),
+    /// The run stopped, or a scheduler step panicked: the baton is home.
+    Stopped(std::thread::Result<StopReason>),
 }
 
-struct Carrier {
-    mailbox: Arc<Mailbox<CarrierMsg>>,
-    join: Option<std::thread::JoinHandle<()>>,
-}
-
-/// The carrier-thread pool. A carrier loops over [`CarrierMsg::Start`]s;
-/// the body wrapper ([`crate::ctx::wrap_body`]) catches every unwind, so
-/// a finished or torn-down body always returns control to the loop. An
-/// exited thread releases its carrier index while the carrier is still
-/// handing the baton on: a successor's `Start` just waits in the
-/// carrier's mailbox until it loops back.
-pub(crate) struct CarrierPool {
-    carriers: Vec<Carrier>,
-    /// LIFO free list of carrier indices, so the hottest carrier (most
-    /// recently exited, stack still warm) is reused first.
-    free: Vec<u32>,
-    pub spawns: u64,
-    pub reuses: u64,
-}
-
-impl CarrierPool {
-    pub(crate) fn new() -> CarrierPool {
-        CarrierPool {
-            carriers: Vec::new(),
-            free: Vec::new(),
-            spawns: 0,
-            reuses: 0,
-        }
-    }
-
-    /// An idle carrier's index, spawning one only when none is free.
-    pub(crate) fn acquire(&mut self) -> u32 {
-        if let Some(idx) = self.free.pop() {
-            self.reuses += 1;
-            return idx;
-        }
-        let idx = self.carriers.len() as u32;
-        let mailbox = Mailbox::new();
-        let inbox = Arc::clone(&mailbox);
-        let join = std::thread::Builder::new()
-            .name(format!("sim-worker-{idx}"))
-            .stack_size(128 * 1024)
-            .spawn(move || carrier_loop(&inbox))
-            .expect("failed to spawn carrier thread for simulated thread");
-        self.spawns += 1;
-        self.carriers.push(Carrier {
-            mailbox,
-            join: Some(join),
-        });
-        idx
-    }
-
-    /// Returns a carrier to the free list.
-    pub(crate) fn release(&mut self, idx: u32) {
-        self.free.push(idx);
-    }
-
-    pub(crate) fn mailbox(&self, idx: u32) -> &Arc<Mailbox<CarrierMsg>> {
-        &self.carriers[idx as usize].mailbox
-    }
-
-    /// Unwinds every parked body, stops every carrier and joins them.
-    /// The caller holds the baton, so no other message is in flight.
-    ///
-    /// Carriers stop one at a time, newest first. glibc hands an exited
-    /// thread's malloc arena to the next thread that starts, last exited
-    /// first, so this order gives the next `Sim`'s carriers back the
-    /// arenas their predecessors used. Stopped all at once, a process
-    /// that builds one world after another spreads each world's
-    /// allocations over a different arena every time and its resident
-    /// memory creeps up by hundreds of KiB per arena.
-    pub(crate) fn shutdown(&mut self) {
-        for c in self.carriers.iter_mut().rev() {
-            c.mailbox.put(CarrierMsg::Shutdown);
-            if let Some(h) = c.join.take() {
-                let _ = h.join();
-            }
-        }
-    }
-}
-
-fn carrier_loop(mailbox: &Mailbox<CarrierMsg>) {
-    loop {
-        match mailbox.take() {
-            CarrierMsg::Start { ctx, body, core } => {
-                let Link::Baton(link) = &ctx.link else {
-                    unreachable!("Sim threads hold a baton link")
-                };
-                link.core.set(Some(core));
-                body(&ctx);
-                if ctx.shutting_down.get() {
-                    // The body unwound on `Shutdown`: the pool is going away.
-                    return;
-                }
-            }
-            CarrierMsg::Shutdown => return,
-            CarrierMsg::Resume { .. } => unreachable!("resume sent to an idle carrier"),
-        }
-    }
-}
-
-/// A `Sim` thread's end of the baton: the core while the thread runs,
-/// and its carrier's mailbox to park on while another thread does.
+/// A `Sim` thread's end of the baton: the core while the thread runs
+/// and, once the sim is being dropped, the stack to switch back to when
+/// the body has unwound.
 pub(crate) struct BatonLink {
     core: Cell<Option<Box<Core>>>,
-    mailbox: Arc<Mailbox<CarrierMsg>>,
+    teardown: Cell<Option<Carrier>>,
 }
 
 impl BatonLink {
-    pub(crate) fn new(mailbox: Arc<Mailbox<CarrierMsg>>) -> BatonLink {
+    pub(crate) fn new() -> BatonLink {
         BatonLink {
             core: Cell::new(None),
-            mailbox,
+            teardown: Cell::new(None),
         }
     }
 
-    /// Runs the scheduler step for `req` on this stack. Returns the reply
-    /// to `tid`, or `None` if the sim is tearing down.
-    pub(crate) fn call(&self, tid: ThreadId, req: Request) -> Option<Reply> {
-        match self.step(tid, req) {
-            Baton::Kept(core, reply) => {
-                self.core.set(Some(core));
-                Some(reply)
-            }
-            Baton::Passed => match self.mailbox.take() {
-                CarrierMsg::Resume { core, reply } => {
-                    self.core.set(Some(core));
-                    Some(reply)
-                }
-                CarrierMsg::Shutdown => None,
-                CarrierMsg::Start { .. } => unreachable!("start sent to a busy carrier"),
-            },
-            Baton::Home(..) => unreachable!("a carrier kept a stopped run's baton"),
-        }
-    }
-
-    /// Reports `tid`'s exit and passes the baton on for good.
-    pub(crate) fn exit(&self, tid: ThreadId, panicked: bool) {
-        let next = self.step(tid, Request::Exit { panicked });
-        debug_assert!(matches!(next, Baton::Passed), "an exited thread resumed");
-    }
-
-    /// One scheduler step on the baton holder's stack. A panic inside it
-    /// is the scheduler's (or a sink's), not the thread's: it travels
-    /// home with the baton and resurfaces from [`crate::Sim::run`].
-    fn step(&self, tid: ThreadId, req: Request) -> Baton {
-        let mut core = self
+    /// Runs the scheduler step for `req` on this stack and returns the
+    /// reply to `tid`: [`Reply::Shutdown`] if the sim is tearing down.
+    pub(crate) fn call(&self, tid: ThreadId, req: Request) -> Reply {
+        let core = self
             .core
             .take()
             .expect("a running simulated thread holds the baton");
-        let step = catch_unwind(AssertUnwindSafe(|| core.request(tid, req)));
-        core.pass(step, Some(tid))
+        match step(core, tid, req) {
+            Baton::Kept(core, reply) => {
+                self.core.set(Some(core));
+                reply
+            }
+            Baton::Shutdown(back) => {
+                self.teardown.set(Some(back));
+                Reply::Shutdown
+            }
+            Baton::Home(..) => unreachable!("a stopped run's baton went to a simulated thread"),
+        }
+    }
+}
+
+/// One scheduler step on the baton holder's stack. A panic inside it is
+/// the scheduler's (or a sink's), not the thread's: it travels home with
+/// the baton and resurfaces from [`crate::Sim::run`].
+fn step(mut core: Box<Core>, tid: ThreadId, req: Request) -> Baton {
+    let step = catch_unwind(AssertUnwindSafe(|| core.request(tid, req)));
+    core.pass(step, Some(tid))
+}
+
+/// The entry of every carrier stack. Runs one simulated thread from its
+/// first dispatch to its exit or teardown, then switches away for good.
+/// Nothing on this stack is ever dropped after that, so everything the
+/// thread owned must be gone first: [`run_thread`] has returned.
+#[allow(unsafe_code)]
+pub(crate) fn carrier_main(back: Carrier, msg: Transfer) -> ! {
+    let home = match run_thread(back, msg) {
+        Ended::Exited {
+            core,
+            tid,
+            panicked,
+        } => retire(core, tid, panicked),
+        Ended::TornDown(home) => home,
+    };
+    // SAFETY: `home` is the stack running `Drop for Sim`, which waits in
+    // its switch for this one.
+    let _ = unsafe { stack::switch(home, Transfer::Finished) };
+    unreachable!("a finished carrier was resumed")
+}
+
+/// How a thread's body ended.
+enum Ended {
+    /// It returned or panicked: its exit step is still to run.
+    Exited {
+        core: Box<Core>,
+        tid: ThreadId,
+        panicked: bool,
+    },
+    /// It unwound because the sim is being dropped: switch back here.
+    TornDown(Carrier),
+}
+
+/// Runs a thread's body, starting from its first dispatch.
+fn run_thread(back: Carrier, msg: Transfer) -> Ended {
+    let Transfer::Baton {
+        mut core,
+        from,
+        cargo: Cargo::Start(start),
+    } = msg
+    else {
+        unreachable!("a fresh carrier's first switch starts its thread")
+    };
+    core.file(from, back);
+    let (ctx, body) = *start;
+    let Link::Baton(link) = &ctx.link else {
+        unreachable!("Sim threads hold a baton link")
+    };
+    link.core.set(Some(core));
+    let panicked = body(&ctx);
+    match link.teardown.take() {
+        Some(home) => Ended::TornDown(home),
+        None => Ended::Exited {
+            core: link.core.take().expect("a finished thread holds the baton"),
+            tid: ctx.tid,
+            panicked,
+        },
+    }
+}
+
+/// Reports `tid`'s exit and passes the baton on for good. Returns only
+/// if the sim is dropped after the exit step itself panicked: with the
+/// stack to switch back to.
+fn retire(core: Box<Core>, tid: ThreadId, panicked: bool) -> Carrier {
+    match step(core, tid, Request::Exit { panicked }) {
+        Baton::Shutdown(back) => back,
+        Baton::Kept(..) | Baton::Home(..) => unreachable!("an exited thread was resumed"),
     }
 }

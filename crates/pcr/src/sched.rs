@@ -3,14 +3,17 @@
 //!
 //! Every piece of scheduling state lives in one boxed [`Core`], the
 //! baton of [`crate::rendezvous`]: [`Sim`] owns it between runs, and
-//! during a run it travels with whichever OS thread is allowed to run.
+//! during a run it travels with whichever simulated thread is running.
 //! That thread runs the scheduler step itself ([`Core::request`],
-//! [`Core::step`]) and passes the core on only when the step resumes
-//! another thread ([`Core::pass`]). Exactly one OS thread ever holds the
-//! core, so the whole simulation is single-threaded in effect and
-//! deterministic for a given configuration and seed.
+//! [`Core::step`]) on its own coroutine stack and passes the core on,
+//! with a user-space stack switch, only when the step resumes another
+//! thread ([`Core::pass`]). Every stack runs on the OS thread that
+//! called [`Sim::run`] and exactly one holds the core, so the simulation
+//! is single-threaded and deterministic for a given configuration and
+//! seed.
 
 use std::collections::{HashSet, VecDeque};
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -25,9 +28,10 @@ use crate::event::{CondId, Event, EventKind, EventMask, TraceSink, WaitOutcome, 
 use crate::hazard::HazardMonitor;
 use crate::monitor::{Monitor, MonitorId};
 use crate::rendezvous::{
-    BatonLink, BodyFn, CarrierMsg, CarrierPool, ForkSpec, Handback, Mailbox, Reply, Request,
+    carrier_main, BatonLink, BodyFn, Cargo, Carrier, ForkSpec, Origin, Reply, Request, Transfer,
 };
 use crate::rng::SplitMix64;
+use crate::stack::{self, StackPool};
 use crate::thread::{JoinHandle, Priority, ResultSlot, ThreadId, ThreadInfo, ThreadView};
 use crate::time::{micros, millis, SimDuration, SimTime};
 use crate::timer::{TimerKind, TimerWheel};
@@ -276,12 +280,15 @@ struct Tcb {
     pending_reply: Option<Reply>,
     debt: SimDuration,
     after_debt: AfterDebt,
-    /// The body and its context, until the first dispatch sends them to
+    /// The body and its context, until the first dispatch hands them to
     /// the carrier (boxed: most threads have long started).
     start: Option<Box<(ThreadCtx, BodyFn)>>,
-    /// Index of the pooled OS carrier thread running this simulated
-    /// thread's body, released back to the pool on exit.
-    worker: Option<u32>,
+    /// Where to switch to run this thread: its carrier stack's resume
+    /// point. `None` while the thread runs and once it has exited.
+    carrier: Option<Carrier>,
+    /// The thread's carrier stack in [`Core::stacks`], freed once the
+    /// exited thread has switched away.
+    stack: u32,
     detached: bool,
     joiner: Option<ThreadId>,
     exited: bool,
@@ -389,12 +396,13 @@ pub struct AllocCounters {
     pub queue_node_allocs: u64,
     /// Queue pushes served from the arena's free list.
     pub queue_node_reuses: u64,
-    /// OS carrier threads spawned for simulated forks.
+    /// Carrier stacks mapped for simulated forks. (The name dates from
+    /// when each simulated thread had an OS carrier thread.)
     pub os_thread_spawns: u64,
-    /// Simulated forks served by an idle pooled carrier.
+    /// Simulated forks served by a freed carrier stack.
     pub os_thread_reuses: u64,
-    /// OS-level handoffs: the scheduler core moving from one OS thread
-    /// to another (into a carrier, or home to the thread in
+    /// Stack switches: the scheduler core moving from one stack to
+    /// another (to another simulated thread, or home to the stack in
     /// [`Sim::run`]). At most one per simulated switch plus two per run.
     pub baton_passes: u64,
 }
@@ -423,6 +431,9 @@ pub struct Sim {
     /// The scheduler core. `None` only while [`Sim::run`] has lent it
     /// to the simulated threads.
     core: Option<Box<Core>>,
+    /// `!Send`: suspended carrier stacks belong to the OS thread they
+    /// ran on (std's panic count, for one, is per OS thread).
+    _pinned: PhantomData<*const ()>,
 }
 
 /// What the thread holding the baton does after a scheduler step.
@@ -433,14 +444,15 @@ pub(crate) enum Step {
     Stop(StopReason),
 }
 
-/// Where the baton is after [`Core::pass`].
+/// What the caller of [`Core::pass`] does next.
 pub(crate) enum Baton {
-    /// The step resumed the caller itself: keep running.
+    /// Run on with this reply: the step resumed the caller, or another
+    /// thread resumed it later.
     Kept(Box<Core>, Reply),
-    /// The run ended, or a step panicked, on the thread in [`Sim::run`].
+    /// The run ended, or a step panicked; the caller is [`Sim::run`].
     Home(Box<Core>, std::thread::Result<StopReason>),
-    /// Sent to another OS thread; the caller parks or leaves.
-    Passed,
+    /// The sim is being dropped: unwind, then switch back to this stack.
+    Shutdown(Carrier),
 }
 
 /// Every piece of scheduling state: the baton.
@@ -465,13 +477,13 @@ pub(crate) struct Core {
     shield: Option<Shield>,
     donation: Option<DonationPlan>,
     timers: TimerWheel,
-    /// Pool of reusable OS carrier threads: a simulated fork grabs a
-    /// free carrier instead of spawning, so steady-state fork/exit does
-    /// no OS thread creation or join.
-    pool: CarrierPool,
-    /// Where the baton goes when a run stops: the thread in [`Sim::run`].
-    home: Arc<Mailbox<Handback>>,
-    /// OS-level handoffs so far ([`AllocCounters::baton_passes`]).
+    /// Carrier stacks: a simulated fork takes a freed stack before
+    /// mapping a new one, so steady-state fork/exit maps nothing.
+    stacks: StackPool,
+    /// Where the baton goes when a run stops: the stack in [`Sim::run`],
+    /// filed by the first switch away from it.
+    home: Option<Carrier>,
+    /// Stack switches so far ([`AllocCounters::baton_passes`]).
     baton_passes: u64,
     /// The current run's end.
     end: SimTime,
@@ -518,6 +530,7 @@ impl Sim {
     pub fn new(cfg: SimConfig) -> Sim {
         Sim {
             core: Some(Core::new(cfg)),
+            _pinned: PhantomData,
         }
     }
 
@@ -542,7 +555,7 @@ impl Sim {
     }
 
     /// Allocation/reuse counters for the sim's pooled resources (timer
-    /// slab, queue-node arena, carrier-thread pool). Snapshot before and
+    /// slab, queue-node arena, carrier-stack pool). Snapshot before and
     /// after a window and subtract with [`AllocCounters::since`] to
     /// verify the hot path runs allocation-free at steady state.
     pub fn alloc_counters(&self) -> AllocCounters {
@@ -554,8 +567,8 @@ impl Sim {
             timer_node_reuses,
             queue_node_allocs,
             queue_node_reuses,
-            os_thread_spawns: core.pool.spawns,
-            os_thread_reuses: core.pool.reuses,
+            os_thread_spawns: core.stacks.mapped,
+            os_thread_reuses: core.stacks.reuses,
             baton_passes: core.baton_passes,
         }
     }
@@ -766,22 +779,17 @@ impl Sim {
     /// has exited, or the remaining threads are deadlocked.
     ///
     /// The calling thread runs scheduler steps only until the first
-    /// reply; from then on the simulated threads run them, and the
-    /// caller parks until the run stops. A panic inside a scheduler step
-    /// (a trace sink's, say) resurfaces here on the caller.
+    /// reply; from then on the simulated threads run them, each on its
+    /// own stack on this OS thread, and this stack stays suspended until
+    /// the run stops. A panic inside a scheduler step (a trace sink's,
+    /// say) resurfaces here on the caller.
     pub fn run(&mut self, limit: RunLimit) -> RunReport {
         let mut core = self.core.take().expect("the core is home between runs");
         let start = core.clock;
         core.begin_run(limit);
-        let home = Arc::clone(&core.home);
         let step = catch_unwind(AssertUnwindSafe(|| core.step()));
-        let (mut core, outcome) = match core.pass(step, None) {
-            Baton::Home(core, outcome) => (core, outcome),
-            Baton::Passed => {
-                let back = home.take();
-                (back.core, back.outcome)
-            }
-            Baton::Kept(..) => unreachable!("the caller of Sim::run is no simulated thread"),
+        let Baton::Home(mut core, outcome) = core.pass(step, None) else {
+            unreachable!("the caller of Sim::run is no simulated thread")
         };
         match outcome {
             Ok(reason) => {
@@ -821,8 +829,8 @@ impl Core {
             threads: Vec::new(),
             policy: policy::make(kind, seed),
             queue_arena: NodeArena::new(),
-            pool: CarrierPool::new(),
-            home: Mailbox::new(),
+            stacks: StackPool::new(),
+            home: None,
             baton_passes: 0,
             end: SimTime::ZERO,
             quantum_left: SimDuration::ZERO,
@@ -1079,11 +1087,11 @@ impl Core {
         let generation = parent
             .map(|p| self.threads[p.0 as usize].generation + 1)
             .unwrap_or(0);
-        let worker = self.pool.acquire();
+        let (stack, carrier) = self.stacks.start(carrier_main);
         let ctx = ThreadCtx {
             tid,
             name: spec.name.clone(),
-            link: Link::Baton(BatonLink::new(Arc::clone(self.pool.mailbox(worker)))),
+            link: Link::Baton(BatonLink::new()),
             clock: Arc::clone(&self.clock_mirror),
             shutting_down: std::cell::Cell::new(false),
             priority: std::cell::Cell::new(priority),
@@ -1097,7 +1105,8 @@ impl Core {
             debt: SimDuration::ZERO,
             after_debt: AfterDebt::Reply,
             start: Some(Box::new((ctx, spec.body))),
-            worker: Some(worker),
+            carrier: Some(carrier),
+            stack,
             detached: spec.detached,
             joiner: None,
             exited: false,
@@ -1760,46 +1769,90 @@ impl Core {
     }
 
     /// Sends the baton where `step` says. `me` is the calling simulated
-    /// thread, `None` for the thread in [`Sim::run`].
+    /// thread, `None` for the stack in [`Sim::run`]. Unless the step
+    /// resumes the caller, or stops a run the caller is `Sim::run` for,
+    /// this switches stacks and returns only when something switches
+    /// back (never, once `me` has exited).
+    #[allow(unsafe_code)]
     pub(crate) fn pass(
         mut self: Box<Self>,
         step: std::thread::Result<Step>,
         me: Option<ThreadId>,
     ) -> Baton {
-        let outcome = match step {
+        let (to, cargo) = match step {
             Ok(Step::Reply(tid, reply)) if Some(tid) == me => return Baton::Kept(self, reply),
             Ok(Step::Reply(tid, reply)) => {
-                self.baton_passes += 1;
                 let t = &mut self.threads[tid.0 as usize];
-                let start = t.start.take().map(|b| *b);
-                let worker = t.worker.expect("a live thread has a carrier");
-                let mailbox = Arc::clone(self.pool.mailbox(worker));
-                mailbox.put(match start {
-                    Some((ctx, body)) => {
+                let to = t.carrier.take().expect("a dispatched thread is suspended");
+                let cargo = match t.start.take() {
+                    Some(start) => {
                         debug_assert_eq!(reply, Reply::Ok, "a thread's first reply starts it");
-                        CarrierMsg::Start {
-                            ctx,
-                            body,
-                            core: self,
-                        }
+                        Cargo::Start(start)
                     }
-                    None => CarrierMsg::Resume { core: self, reply },
-                });
-                return Baton::Passed;
+                    None => Cargo::Resume(reply),
+                };
+                (to, cargo)
             }
-            Ok(Step::Stop(reason)) => Ok(reason),
-            Err(payload) => Err(payload),
+            stopped => {
+                let outcome = stopped.map(|step| match step {
+                    Step::Stop(reason) => reason,
+                    Step::Reply(..) => unreachable!("replies are matched above"),
+                });
+                if me.is_none() {
+                    return Baton::Home(self, outcome);
+                }
+                let home = self.home.take().expect("a running sim has a home stack");
+                (home, Cargo::Stopped(outcome))
+            }
         };
-        if me.is_none() {
-            return Baton::Home(self, outcome);
-        }
         self.baton_passes += 1;
-        let home = Arc::clone(&self.home);
-        home.put(Handback {
-            core: self,
-            outcome,
-        });
-        Baton::Passed
+        let from = match me {
+            None => Origin::Home,
+            Some(tid) if self.threads[tid.0 as usize].exited => {
+                Origin::Retired(self.threads[tid.0 as usize].stack)
+            }
+            Some(tid) => Origin::Parked(tid),
+        };
+        // SAFETY: `to` is a parked thread's stack, mapped by the pool of
+        // the core this switch carries, or the stack in `Sim::run`, which
+        // waits in its own switch for the run to stop.
+        let (back, msg) = unsafe {
+            stack::switch(
+                to,
+                Transfer::Baton {
+                    core: self,
+                    from,
+                    cargo,
+                },
+            )
+        };
+        match msg {
+            Transfer::Baton {
+                mut core,
+                from,
+                cargo,
+            } => {
+                core.file(from, back);
+                match cargo {
+                    Cargo::Resume(reply) => Baton::Kept(core, reply),
+                    Cargo::Stopped(outcome) => Baton::Home(core, outcome),
+                    Cargo::Start(_) => unreachable!("only a fresh carrier is started"),
+                }
+            }
+            Transfer::Shutdown => Baton::Shutdown(back),
+            Transfer::Finished => unreachable!("a finished carrier switched to a live one"),
+        }
+    }
+
+    /// Files the resume point of the stack a switch just left: where the
+    /// next switch to it will look, or back into the pool if its thread
+    /// has exited.
+    pub(crate) fn file(&mut self, from: Origin, back: Carrier) {
+        match from {
+            Origin::Home => self.home = Some(back),
+            Origin::Parked(tid) => self.threads[tid.0 as usize].carrier = Some(back),
+            Origin::Retired(stack) => self.stacks.release(stack, back),
+        }
     }
 
     fn pick_next(&mut self) -> Option<(ThreadId, Option<SimDuration>, Option<Shield>)> {
@@ -2363,12 +2416,8 @@ impl Core {
         t.pending_reply = None;
         t.debt = SimDuration::ZERO;
         self.live_threads -= 1;
-        // Release the carrier thread back to the pool without joining:
-        // it returns to its loop right after passing the baton on, and a
-        // successor's start waits in its mailbox in the meantime.
-        if let Some(w) = self.threads[tid.0 as usize].worker.take() {
-            self.pool.release(w);
-        }
+        // The carrier stack stays taken until the thread has switched
+        // away from it: the receiver of that switch frees it.
         debug_assert!(
             self.monitors.iter().all(|m| m.owner != Some(tid)),
             "thread exited while holding a monitor"
@@ -2441,10 +2490,21 @@ impl Core {
 }
 
 impl Drop for Sim {
+    /// Resumes every parked thread with a shutdown reply, newest first,
+    /// and waits for its body to unwind on its own stack. The stacks are
+    /// unmapped with the core.
+    #[allow(unsafe_code)]
     fn drop(&mut self) {
-        // Unwind every parked body, then join the carrier pool.
-        if let Some(core) = &mut self.core {
-            core.pool.shutdown();
+        let Some(core) = &mut self.core else { return };
+        for t in core.threads.iter_mut().rev() {
+            if t.start.is_some() {
+                continue; // Never ran: nothing on its stack to unwind.
+            }
+            if let Some(carrier) = t.carrier.take() {
+                // SAFETY: the pool that mapped the stack is `core`'s.
+                let (_, done) = unsafe { stack::switch(carrier, Transfer::Shutdown) };
+                debug_assert!(matches!(done, Transfer::Finished));
+            }
         }
     }
 }

@@ -728,3 +728,164 @@ fn dropping_a_stopped_sim_unwinds_every_parked_thread() {
         "a parked body outlived its Sim"
     );
 }
+
+// ---- coroutine carriers: hazards of running every thread on one OS thread --
+
+#[test]
+fn a_panic_unwinding_through_a_switch_survives_a_second_panic() {
+    use std::sync::{Arc, Mutex};
+    // `a` panics inside a monitor. Its unwind drops the guard, and the
+    // monitor exit hands the lock, and the baton, to higher-priority `b`,
+    // so `b` runs on its own stack while `a` is still unwinding on its
+    // own. `b` panics too. Each unwind must end in its own thread's
+    // catch, and the run must go on.
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let mut s = sim();
+    let m = s.monitor("m", ());
+    struct Unwound(Arc<Mutex<Vec<&'static str>>>);
+    impl Drop for Unwound {
+        fn drop(&mut self) {
+            self.0.lock().unwrap().push("a unwound");
+        }
+    }
+    let (ma, la) = (m.clone(), Arc::clone(&log));
+    let a = s.fork_root("a", Priority::of(3), move |ctx| {
+        let _last = Unwound(la);
+        let _g = ctx.enter(&ma);
+        ctx.work(millis(5)); // `b` wakes and blocks on the monitor.
+        panic!("a failed");
+    });
+    let lb = Arc::clone(&log);
+    let b = s.fork_root("b", Priority::of(5), move |ctx| {
+        ctx.sleep_precise(millis(1));
+        let _g = ctx.enter(&m);
+        lb.lock().unwrap().push("b panics");
+        panic!("b failed");
+    });
+    let after = s.fork_root("after", Priority::of(2), |ctx| {
+        ctx.work(millis(1));
+        7u32
+    });
+    let r = s.run(RunLimit::ToCompletion);
+    assert_eq!(r.reason, StopReason::AllExited);
+    assert!(matches!(a.into_result(), Some(Err(_))));
+    assert!(matches!(b.into_result(), Some(Err(_))));
+    assert_eq!(after.into_result().unwrap().unwrap(), 7);
+    assert_eq!(s.stats().panics, 2);
+    assert_eq!(*log.lock().unwrap(), ["b panics", "a unwound"]);
+    assert!(!std::thread::panicking());
+}
+
+#[test]
+fn a_backtrace_captured_on_a_carrier_stack_ends_at_the_carrier() {
+    let mut s = sim();
+    let h = s.fork_root("tracer", Priority::DEFAULT, |ctx| {
+        ctx.yield_now();
+        let bt = std::backtrace::Backtrace::force_capture();
+        (bt.status(), bt.to_string())
+    });
+    s.run(RunLimit::ToCompletion);
+    let (status, text) = h.into_result().unwrap().unwrap();
+    assert_eq!(status, std::backtrace::BacktraceStatus::Captured);
+    assert!(text.contains("carrier_main"), "{text}");
+}
+
+#[test]
+fn a_sim_runs_inside_another_sims_thread() {
+    fn ping_pong(s: &mut Sim, rounds: u32) {
+        let turn = s.monitor("turn", false);
+        let flipped = s.condition(&turn, "flipped", None);
+        for me in [false, true] {
+            let (m, cv) = (turn.clone(), flipped.clone());
+            let _ = s.fork_root("player", Priority::DEFAULT, move |ctx| {
+                for _ in 0..rounds {
+                    let mut g = ctx.enter(&m);
+                    g.wait_until(&cv, |t| *t == me);
+                    g.with_mut(|t| *t = !me);
+                    g.notify(&cv);
+                }
+            });
+        }
+    }
+    let mut outer = sim();
+    ping_pong(&mut outer, 50);
+    let host = outer.fork_root("host", Priority::DEFAULT, |ctx| {
+        let mut inner = sim();
+        ping_pong(&mut inner, 50);
+        let done = inner.run(RunLimit::ToCompletion);
+        ctx.yield_now();
+        // A second inner sim left with parked threads is torn down here,
+        // on the host's stack.
+        let mut parked = sim();
+        ping_pong(&mut parked, u32::MAX);
+        parked.run(RunLimit::For(millis(5)));
+        drop(parked);
+        ctx.yield_now();
+        (done.reason, inner.stats().switches)
+    });
+    let r = outer.run(RunLimit::ToCompletion);
+    assert_eq!(r.reason, StopReason::AllExited);
+    let (reason, switches) = host.into_result().unwrap().unwrap();
+    assert_eq!(reason, StopReason::AllExited);
+    assert!(switches >= 100, "inner ping-pong made {switches} switches");
+    assert!(outer.stats().switches >= 100);
+}
+
+#[test]
+fn stack_overflow_in_a_sim_thread_hits_the_guard_page() {
+    use std::os::unix::process::ExitStatusExt;
+    const CHILD: &str = "PCR_STACK_OVERFLOW_CHILD";
+    if std::env::var_os(CHILD).is_some() {
+        overflow_next_to_parked_neighbours();
+        return;
+    }
+    let out = std::process::Command::new(std::env::current_exe().unwrap())
+        .args([
+            "--exact",
+            "stack_overflow_in_a_sim_thread_hits_the_guard_page",
+            "--nocapture",
+            "--test-threads=1",
+        ])
+        .env(CHILD, "1")
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.signal(),
+        Some(11),
+        "the overflow must die by SIGSEGV: {:?}\n{stdout}",
+        out.status
+    );
+    assert!(!stdout.contains("survived"), "{stdout}");
+}
+
+/// Recurses through about `depth` KiB of stack.
+fn recurse(depth: u32) -> u64 {
+    let pad = std::hint::black_box([depth as u8; 1024]);
+    if depth == 0 {
+        return 0;
+    }
+    recurse(depth - 1) + u64::from(std::hint::black_box(pad[1023]))
+}
+
+/// Maps the overflowing thread's stack first and then parks neighbours
+/// whose stacks are mapped after it (below it, as mmap places them), so
+/// an overflow without a guard page would run into their live frames
+/// rather than into unmapped memory. It needs twice the carrier stack.
+fn overflow_next_to_parked_neighbours() {
+    let mut s = sim();
+    let _ = s.fork_root("deep", Priority::of(1), |_| {
+        recurse(256);
+        println!("survived the overflow");
+    });
+    let m = s.monitor("m", ());
+    let never = s.condition(&m, "never", None);
+    for _ in 0..4 {
+        let (m, cv) = (m.clone(), never.clone());
+        let _ = s.fork_root("neighbour", Priority::of(5), move |ctx| {
+            let mut g = ctx.enter(&m);
+            ctx.wait(&mut g, &cv);
+        });
+    }
+    s.run(RunLimit::ToCompletion);
+}
